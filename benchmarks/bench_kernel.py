@@ -17,8 +17,7 @@ The *flat* arm reconstructs the previous kernel's delivery contract on
 top of today's kernel: every automaton is forced through full Message
 materialization plus per-receiver re-derivation of the round structure
 — exactly the work the shared :class:`~repro.sim.view.RoundView`
-buckets eliminate.  That is also what any unported out-of-tree
-automaton pays via the ``deliver_view`` fallback shim.
+buckets eliminate.
 
 Besides the printed table, the run persists machine-readable per-system
 timings to ``BENCH_kernel.json`` (path override:
@@ -50,7 +49,7 @@ from types import MethodType
 
 import pytest
 
-from repro.algorithms.base import Automaton, make_automata
+from repro.algorithms.base import make_automata
 from repro.algorithms.registry import get_factory
 from repro.core.att2 import ATt2
 from repro.core.att2_optimized import ATt2Optimized
@@ -61,6 +60,7 @@ from repro.engine.grids import DEFAULT_SWEEP_ALGORITHMS
 from repro.model.schedule import Schedule
 from repro.sim.kernel import execute, execute_reference
 from repro.sim.random_schedules import random_es_schedule
+from repro.sim.view import RoundView
 from conftest import emit
 
 #: Systems measured against the full pre-compile *reference* pipeline
@@ -144,19 +144,24 @@ def _reference_case(
 def _flat_factory(factory):
     """Wrap *factory* so its automata take the flat delivery path.
 
-    Forcing the base-class shim (``Automaton.deliver_view``) onto each
-    instance reconstructs the PR-4 delivery contract exactly: the flat
-    message tuple is materialized and the round structure re-derived
-    per receiver — the work every automaton's filtering boilerplate
-    used to do each round, and what any unported out-of-tree automaton
-    still pays.
+    Each instance's ``deliver_view`` is wrapped to materialize the flat
+    message tuple and re-derive the round structure from it
+    (:meth:`~repro.sim.view.RoundView.from_messages`) before running
+    the class's own hook — the PR-4 delivery contract exactly, and the
+    work every automaton's filtering boilerplate used to do each round.
     """
+
+    def flat_deliver_view(automaton, k, view):
+        type(automaton).deliver_view(
+            automaton, k,
+            RoundView.from_messages(
+                k, automaton.pid, automaton.n, view.messages
+            ),
+        )
 
     def build(pid, n, t, proposal):
         automaton = factory(pid, n, t, proposal)
-        automaton.deliver_view = MethodType(
-            Automaton.deliver_view, automaton
-        )
+        automaton.deliver_view = MethodType(flat_deliver_view, automaton)
         return automaton
 
     return build

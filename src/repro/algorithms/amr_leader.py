@@ -54,7 +54,7 @@ def lowest_sender_items(
 
     Kernel-built views arrive ascending by sender already, so the sort
     is a near-free stability pass; it stays for hand-ordered inboxes
-    reaching the ported algorithms through the legacy bridges.
+    reaching the algorithm through the ``deliver`` bridge.
     """
     return sorted(items, key=lambda item: item[0])[:quota]
 

@@ -210,16 +210,3 @@ def resolve_executor(backend: str, *, workers: int | None = None) -> Executor:
     raise ExecutorError(
         f"unknown backend {backend!r}; known: " + ", ".join(BACKENDS)
     )
-
-
-def executor_from_workers(workers: int | None) -> Executor:
-    """The legacy ``workers=`` shim's mapping onto executors.
-
-    Preserves the historical semantics of the bare integer: ``1`` meant
-    serial, ``0``/``None`` meant an auto-sized pool, ``N > 1`` a pool of
-    N — so call sites migrating from ``workers=`` to ``executor=`` get
-    byte-identical behavior.
-    """
-    if workers == 1:
-        return SerialExecutor()
-    return ProcessExecutor(workers=None if workers in (None, 0) else workers)

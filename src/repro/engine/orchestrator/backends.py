@@ -119,15 +119,14 @@ async def _run_process(
     argv: list[str],
     *,
     env: Mapping | None = None,
-    kill_after: float | None = None,
+    kill: bool = False,
 ) -> tuple[int, bytes, bytes]:
     """Run *argv*, returning ``(returncode, stdout, stderr)``.
 
     The subprocess is killed — deterministically, not at GC — when the
     surrounding task is cancelled (driver timeout or a heartbeat-dead
-    worker).  ``kill_after`` is the fault-injection hook: the process is
-    SIGKILLed after that many seconds, simulating a worker dying
-    mid-shard.
+    worker).  ``kill`` is the fault-injection hook: the process is
+    SIGKILLed right after spawn, simulating a worker dying mid-shard.
     """
     proc = await asyncio.create_subprocess_exec(
         *argv,
@@ -135,14 +134,8 @@ async def _run_process(
         stderr=asyncio.subprocess.PIPE,
         env=dict(env) if env is not None else None,
     )
-    killer = None
-    if kill_after is not None:
-        async def _kill_later() -> None:
-            await asyncio.sleep(kill_after)
-            if proc.returncode is None:
-                proc.kill()
-
-        killer = asyncio.ensure_future(_kill_later())
+    if kill:
+        proc.kill()
     try:
         stdout, stderr = await proc.communicate()
     except asyncio.CancelledError:
@@ -150,9 +143,6 @@ async def _run_process(
             proc.kill()
             await proc.wait()
         raise
-    finally:
-        if killer is not None:
-            killer.cancel()
     return proc.returncode, stdout, stderr
 
 
@@ -180,9 +170,9 @@ class LocalWorkerBackend:
             (default serial: with one worker process per machine slot,
             the orchestrator already owns the parallelism).
         chaos_kill: fault-injection knob — shard indices whose *first*
-            attempt is SIGKILLed mid-run (used by tests and the CI
-            lane's forced-retry check; harmless in production).
-        chaos_kill_delay: seconds before the injected kill fires.
+            attempt is SIGKILLed right after spawn and always fails
+            (used by tests and the CI lane's forced-retry check;
+            harmless in production).
     """
 
     grid_args: tuple[str, ...]
@@ -191,7 +181,6 @@ class LocalWorkerBackend:
     trace: str = "lean"
     worker_backend: str = "serial"
     chaos_kill: frozenset[int] = frozenset()
-    chaos_kill_delay: float = 0.25
     _env: dict = field(default_factory=_child_env, repr=False)
 
     def _attempt_path(
@@ -215,14 +204,17 @@ class LocalWorkerBackend:
             trace=self.trace,
             cache=self.cache,
         )
-        kill_after = (
-            self.chaos_kill_delay
-            if shard.index in self.chaos_kill and attempt == 1
-            else None
-        )
-        returncode, _stdout, stderr = await _run_process(
-            argv, env=self._env, kill_after=kill_after
-        )
+        if shard.index in self.chaos_kill and attempt == 1:
+            # Injected fault, failing by construction: the worker dies
+            # right after spawn and this attempt's export is never read.
+            returncode, _stdout, _stderr = await _run_process(
+                argv, env=self._env, kill=True
+            )
+            raise ShardFailure(
+                f"shard {shard.index}/{shard.count} on {worker.name}: "
+                f"chaos-killed (exit {returncode})"
+            )
+        returncode, _stdout, stderr = await _run_process(argv, env=self._env)
         try:
             return BatchResult.load(str(out))
         except (OSError, ValueError, TypeError, KeyError) as exc:

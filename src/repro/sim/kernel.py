@@ -22,10 +22,10 @@ builds each receiver's structured inbox (current-round items bucketed
 by tag, delayed messages separate, present-sender set) straight from
 the plan — shared across receivers with identical delivery plans — and
 drives the automata through
-:meth:`~repro.algorithms.base.Automaton.deliver_view`.  Automata that
-only implement the legacy ``deliver`` receive the canonically ordered
-flat message tuple via the base-class shim.  The original
-query-at-a-time loop is preserved verbatim as
+:meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
+hook.  Both trace modes run the same loop; ``trace="full"`` only adds
+the per-round :class:`~repro.sim.trace.RoundRecord` bookkeeping.  The
+original query-at-a-time loop is preserved verbatim as
 :func:`execute_reference`; the equivalence tests and the kernel
 microbenchmark hold the two byte-identical on full traces.
 
@@ -38,17 +38,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.algorithms.base import (
-    AlgorithmFactory,
-    Automaton,
-    prefers_legacy_deliver,
-)
+from repro.algorithms.base import AlgorithmFactory, Automaton
 from repro.errors import SimulationError
 from repro.model.messages import DUMMY, Message, sort_delivery
 from repro.model.schedule import Schedule
 from repro.sim.bitset import interned_set, mask_of
 from repro.sim.compiled import CompiledSchedule, compile_schedule
-from repro.sim.phase1_plane import Phase1Plane, build_run_plane
+from repro.sim.phase1_plane import build_run_plane
 from repro.sim.trace import AnyTrace, LeanTrace, RoundRecord, Trace
 from repro.sim.view import (
     CurrentCell,
@@ -78,10 +74,7 @@ def _round_view_factory(
 ) -> Callable[[ProcessId], RoundView]:
     """One round's view builder, sharing buckets across plan groups.
 
-    Returns ``view_for(pid)``; both trace-mode loops drive it, so the
-    bucket-sharing and decide-concatenation logic exists exactly once —
-    a divergence here would break the byte-identical-across-modes
-    invariant the suite asserts.  ``shared_current``/``shared_delayed``
+    Returns ``view_for(pid)``.  ``shared_current``/``shared_delayed``
     are the run's preallocated group-bucket maps; the caller clears them
     between rounds instead of allocating fresh dicts.
 
@@ -181,35 +174,15 @@ def execute(
     # driven outside this kernel (execute_reference, direct deliver
     # calls) always take their per-automaton path.
     plane = build_run_plane(automata)
-    if trace == "lean":
-        return _execute_lean(
-            automata, schedule, plan, horizon, stop_when_quiescent,
-            proposals, plane,
-        )
-    return _execute_full(
-        automata, schedule, plan, horizon, stop_when_quiescent,
-        proposals, plane,
-    )
-
-
-def _execute_full(
-    automata: Sequence[Automaton],
-    schedule: Schedule,
-    plan: CompiledSchedule,
-    horizon: Round,
-    stop_when_quiescent: bool,
-    proposals: tuple[Value, ...],
-    plane: Phase1Plane | None,
-) -> Trace:
+    full = trace == "full"
     n = schedule.n
     halted: set[ProcessId] = set()
+    halted_rounds: dict[ProcessId, Round] = {}
     decided_at: dict[ProcessId, tuple[Value, Round]] = {}
     # payloads[pid][k] is what pid broadcast in round k (or _NOT_SENT).
     payloads = [[_NOT_SENT] * (horizon + 1) for _ in range(n)]
-    # Per-automaton delivery dispatch: a class whose most-derived hook
-    # is the legacy ``deliver`` gets the flat tuple directly, so legacy
-    # overrides are honored even when an ancestor ported to views.
-    legacy_entry = [prefers_legacy_deliver(type(a)) for a in automata]
+    message_count = 0
+    rounds_executed = 0
     records: list[RoundRecord] = []
     # Preallocated per-run buffers, reset (not reallocated) per round.
     table = SendTable(n)
@@ -217,9 +190,7 @@ def _execute_full(
     shared_delayed: dict[ProcessId, tuple] = {}
 
     for k in range(1, horizon + 1):
-        sent: dict[ProcessId, object | None] = dict.fromkeys(range(n))
-        decided_this_round: dict[ProcessId, Value] = {}
-        halted_this_round: set[ProcessId] = set()
+        rounds_executed = k
 
         # --- send phase ---------------------------------------------------
         table.reset()
@@ -232,13 +203,18 @@ def _execute_full(
                 payload = DUMMY
             else:
                 hash(payload)  # fail fast on unhashable payloads
-            sent[pid] = payload
             payloads[pid][k] = payload
             record_send(pid, payload)
         table.seal()
 
         # --- receive phase --------------------------------------------------
+        # Message objects are materialized only for full-trace records:
+        # automata consume the shared per-group buckets directly, so the
+        # per-round delivery cost is one bucket build per view group
+        # plus the automaton logic itself.
         delivered: dict[ProcessId, tuple[Message, ...]] = {}
+        decided_this_round: dict[ProcessId, Value] = {}
+        halted_this_round: list[ProcessId] = []
         shared_current.clear()
         shared_delayed.clear()
         view_for = _round_view_factory(
@@ -253,124 +229,48 @@ def _execute_full(
             if pid in halted:
                 continue
             view = view_for(pid)
-            # Materialize the receiver's inbox for the round record; the
-            # automaton sees the structured view (or, on the legacy
-            # path, the same tuple).
-            inbox = view.messages
+            if full:
+                delivered[pid] = view.messages
             automaton = automata[pid]
-            if legacy_entry[pid]:
-                automaton.deliver(k, inbox)
-            else:
-                automaton.deliver_view(k, view)
-            delivered[pid] = inbox
+            automaton.deliver_view(k, view)
+            message_count += view.size
             if automaton.decided and pid not in decided_at:
                 decided_at[pid] = (automaton.decision, k)
                 decided_this_round[pid] = automaton.decision
             if automaton.halted:
-                halted_this_round.add(pid)
-        if plane is not None:
-            plane.end_round()
-
-        halted.update(halted_this_round)
-        records.append(
-            RoundRecord(
-                round=k,
-                sent=sent,
-                delivered=delivered,
-                decided=decided_this_round,
-                crashed=plan.crashed[k],
-                halted=interned_set(mask_of(halted_this_round)),
-            )
-        )
-
-        if stop_when_quiescent and all(
-            pid in halted for pid in plan.completers[k]
-        ):
-            break
-
-    return Trace(
-        schedule=schedule,
-        proposals=proposals,
-        rounds=tuple(records),
-        decisions=decided_at,
-    )
-
-
-def _execute_lean(
-    automata: Sequence[Automaton],
-    schedule: Schedule,
-    plan: CompiledSchedule,
-    horizon: Round,
-    stop_when_quiescent: bool,
-    proposals: tuple[Value, ...],
-    plane: Phase1Plane | None,
-) -> LeanTrace:
-    n = schedule.n
-    halted: set[ProcessId] = set()
-    halted_rounds: dict[ProcessId, Round] = {}
-    decided_at: dict[ProcessId, tuple[Value, Round]] = {}
-    payloads = [[_NOT_SENT] * (horizon + 1) for _ in range(n)]
-    legacy_entry = [prefers_legacy_deliver(type(a)) for a in automata]
-    message_count = 0
-    rounds_executed = 0
-    # Preallocated per-run buffers, reset (not reallocated) per round.
-    table = SendTable(n)
-    shared_current: dict[ProcessId, CurrentCell] = {}
-    shared_delayed: dict[ProcessId, tuple] = {}
-
-    for k in range(1, horizon + 1):
-        rounds_executed = k
-
-        table.reset()
-        record_send = table.record
-        for pid in plan.senders[k]:
-            if pid in halted:
-                continue
-            payload = automata[pid].payload(k)
-            if payload is None:
-                payload = DUMMY
-            else:
-                hash(payload)  # fail fast on unhashable payloads
-            payloads[pid][k] = payload
-            record_send(pid, payload)
-        table.seal()
-
-        # The lean receive phase never materializes Message objects
-        # unless an automaton falls back to the legacy ``deliver``
-        # (the RoundView then builds the flat tuple on demand): ported
-        # automata consume the shared per-group buckets directly, so
-        # the per-round delivery cost is one bucket build per view
-        # group plus the automaton logic itself.
-        shared_current.clear()
-        shared_delayed.clear()
-        view_for = _round_view_factory(
-            k, n, plan, table, payloads, shared_current, shared_delayed
-        )
-        if plane is not None:
-            plane.begin_round(k, table)
-        for pid in plan.completers[k]:
-            if pid in halted:
-                continue
-            view = view_for(pid)
-            automaton = automata[pid]
-            if legacy_entry[pid]:
-                automaton.deliver(k, view.messages)
-            else:
-                automaton.deliver_view(k, view)
-            message_count += view.size
-            if automaton.decided and pid not in decided_at:
-                decided_at[pid] = (automaton.decision, k)
-            if automaton.halted:
                 halted.add(pid)
                 halted_rounds[pid] = k
+                halted_this_round.append(pid)
         if plane is not None:
             plane.end_round()
+
+        if full:
+            records.append(
+                RoundRecord(
+                    round=k,
+                    sent={
+                        pid: None if row[k] is _NOT_SENT else row[k]
+                        for pid, row in enumerate(payloads)
+                    },
+                    delivered=delivered,
+                    decided=decided_this_round,
+                    crashed=plan.crashed[k],
+                    halted=interned_set(mask_of(halted_this_round)),
+                )
+            )
 
         if stop_when_quiescent and all(
             pid in halted for pid in plan.completers[k]
         ):
             break
 
+    if full:
+        return Trace(
+            schedule=schedule,
+            proposals=proposals,
+            rounds=tuple(records),
+            decisions=decided_at,
+        )
     return LeanTrace(
         schedule=schedule,
         proposals=proposals,

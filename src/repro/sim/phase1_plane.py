@@ -47,8 +47,8 @@ The plane is **opt-in and run-scoped**.  Automata declare the protocol
 via :attr:`~repro.algorithms.base.Automaton.phase1_plane_protocol`;
 :func:`build_run_plane` builds and binds one plane per execution only
 when *every* automaton in the run speaks it (a mixed run falls back to
-the untouched per-automaton ``deliver_view`` path — out-of-tree
-automata never see a plane).  The kernel drives
+the untouched per-automaton ``deliver_view`` path — automata that do
+not declare the protocol never see a plane).  The kernel drives
 :meth:`Phase1Plane.begin_round` / :meth:`Phase1Plane.end_round` once
 per round around the receive phase; between the two, bound automata
 route their Phase-1 state updates through
@@ -287,7 +287,7 @@ def build_run_plane(
     """Build and bind one plane for *automata*, or ``None``.
 
     The batched dispatch engages only when **every** automaton in the
-    run declares the (one) known protocol — a mixed or legacy run keeps
+    run declares the (one) known protocol — a mixed run keeps
     the untouched per-automaton delivery path.  On success the plane is
     bound into each automaton via
     :meth:`~repro.algorithms.base.Automaton.bind_phase1_plane` and

@@ -295,13 +295,12 @@ class RoundView:
 
     @property
     def messages(self) -> tuple[Message, ...]:
-        """The legacy flat inbox, in canonical delivery order.
+        """The flat inbox, in canonical delivery order.
 
         Materialized on first access (and cached): delayed messages first
         — they sort ahead on ``sent_round`` — then current-round messages
-        ascending by sender.  This is what the
-        :meth:`~repro.algorithms.base.Automaton.deliver_view` fallback
-        shim feeds to unported ``deliver`` implementations.
+        ascending by sender.  Full-trace kernel runs record it in each
+        round's :class:`~repro.sim.trace.RoundRecord`.
         """
         messages = self._messages
         if messages is None:
@@ -374,9 +373,9 @@ class RoundView:
     ) -> "RoundView":
         """Build a view from an already-materialized flat inbox.
 
-        The bridge for legacy entry points: direct ``deliver`` calls
-        (tests, out-of-tree drivers) reach the ported
-        ``round_deliver_view`` implementations through this constructor.
+        The :meth:`~repro.algorithms.base.Automaton.deliver` bridge:
+        flat-tuple calls (the reference kernel, tests) reach
+        ``deliver_view`` implementations through this constructor.
         Message order is preserved — for kernel-built inboxes that is
         the canonical order; hand-built test inboxes keep whatever order
         the test chose, exactly as the flat ``deliver`` path did.

@@ -17,7 +17,7 @@ class DecideAtRound(ConsensusAutomaton):
     def round_payload(self, k):
         return ("BEAT", k)
 
-    def round_deliver(self, k, messages):
+    def round_deliver_view(self, k, view):
         if k == self.decide_round:
             self._decide(self.proposal, k)
 
@@ -26,7 +26,7 @@ class NeverDecides(ConsensusAutomaton):
     def round_payload(self, k):
         return ("BEAT", k)
 
-    def round_deliver(self, k, messages):
+    def round_deliver_view(self, k, view):
         pass
 
 

@@ -359,7 +359,7 @@ class TestBuildRunPlane:
             def payload(self, k):
                 return None
 
-            def deliver(self, k, messages):
+            def deliver_view(self, k, view):
                 pass
 
         automaton = Declares(0, 3, 1, 0)

@@ -23,7 +23,8 @@ def _root(*parts: str) -> str:
 def test_shipped_tree_is_lint_clean():
     baseline = Baseline.load(_root("lint-baseline.json"))
     report = lint_paths(
-        [_root("src"), _root("tests"), _root("benchmarks")],
+        [_root("src"), _root("tests"), _root("benchmarks"),
+         _root("perfbench")],
         baseline=baseline,
     )
     assert report.clean, "\n".join(f.describe() for f in report.findings)

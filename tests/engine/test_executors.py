@@ -183,20 +183,7 @@ class TestResolveExecutor:
 
 
 class TestWorkersShim:
-    def test_workers_still_works_but_warns(self):
-        cases = [_case(i) for i in range(3)]
-        with pytest.deprecated_call():
-            records = run_cases(cases, workers=2)
-        assert records == run_cases(cases)
-
-    def test_workers_one_means_serial(self):
-        with pytest.deprecated_call():
-            records = run_cases([_case(0)], workers=1)
-        assert records[0].global_round == 3
-
-    def test_executor_and_workers_are_mutually_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            run_cases([_case(0)], executor=SerialExecutor(), workers=2)
+    """With ``workers=`` gone, the default backend is serial and silent."""
 
     def test_default_is_serial_and_silent(self, recwarn):
         run_cases([_case(0)])

@@ -377,7 +377,6 @@ class TestLocalBackendEndToEnd:
             grid_args=("--grid", str(grid_path)),
             workdir=str(tmp_path / "work"),
             chaos_kill=frozenset({1}),
-            chaos_kill_delay=0.05,
         )
         report = orchestrate(
             local_workers(2),

@@ -5,9 +5,10 @@ The compiled kernel (:mod:`repro.sim.compiled` + the rewritten
 original query-at-a-time kernel — never observably different.  These
 tests pin that down three ways:
 
-* seeded random schedules (every generator in
-  :mod:`repro.sim.random_schedules`) across every registered algorithm
-  must produce **identical full traces** on both kernels;
+* schedules of every :func:`repro.engine.grids.build_schedule` kind
+  legal in the algorithm's model (losses included) across every
+  registered algorithm must produce **identical full traces** on both
+  kernels;
 * the lean trace mode must yield identical decisions and identical
   metrics (``summarize``, consensus checks, message counts);
 * the compiled plan itself must be canonical (sorted inboxes, memoized
@@ -15,12 +16,14 @@ tests pin that down three ways:
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms.base import make_automata
 from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.metrics import check_consensus, summarize
+from repro.engine.grids import build_schedule, family
 from repro.errors import SimulationError
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
@@ -28,8 +31,6 @@ from repro.sim.kernel import execute, execute_reference, run_algorithm
 from repro.sim.random_schedules import (
     random_es_schedule,
     random_proposals,
-    random_scs_schedule,
-    random_serial_schedule,
 )
 
 SEEDS = range(25)
@@ -41,11 +42,56 @@ def _system_for(name: str) -> tuple[int, int]:
     return (7, 2) if name in ("afp2", "amr_leader") else (5, 2)
 
 
+#: Every grid schedule kind legal in SCS (synchronous crash patterns)
+#: and the kinds only ES admits (delays), as (kind, family params).
+_SCS_KINDS = (
+    ("failure_free", {}),
+    ("cascade", {}),
+    ("hiding_chain", {}),
+    ("block", {}),
+    ("killer", {"rounds_per_cycle": 2}),
+    ("random_scs", {"horizon": 8}),
+    ("random_serial", {"horizon": 8}),
+)
+_ES_KINDS = (
+    ("async_prefix", {"k": 3, "crashes_after": 1}),
+    ("rotating", {"async_rounds": 3}),
+    ("random_es", {}),
+)
+
+
+def _grid_generator(kind: str, params: dict):
+    spec = family(kind, kind, **params)
+
+    def generator(n, t, seed):
+        return build_schedule(spec, n, t, seed)
+
+    generator.__name__ = kind
+    return generator
+
+
+def random_es_lossy(n, t, seed):
+    """``random_es`` with every faulty sender's delayed message lost.
+
+    Still ES-legal: a faulty sender's loss in an already asynchronous
+    round changes neither t-resilience nor the synchrony round.  Every
+    undelivered crash-round message is lost too (``loss_prob=1``).
+    """
+    base = random_es_schedule(n, t, seed, loss_prob=1.0)
+    lost = frozenset(key for key in base.delays if key[0] in base.faulty)
+    delays = {
+        key: until for key, until in base.delays.items() if key not in lost
+    }
+    return replace(base, delays=delays, losses=lost)
+
+
 def _generators_for(name: str):
-    info = available_algorithms()[name]
-    if info.model == "SCS":
-        return (random_scs_schedule, random_serial_schedule)
-    return (random_es_schedule, random_scs_schedule, random_serial_schedule)
+    if available_algorithms()[name].model == "SCS":
+        return [_grid_generator(kind, params) for kind, params in _SCS_KINDS]
+    return [
+        _grid_generator(kind, params)
+        for kind, params in _SCS_KINDS + _ES_KINDS
+    ] + [random_es_lossy]
 
 
 class TestCompiledMatchesReference:

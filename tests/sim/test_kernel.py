@@ -20,8 +20,8 @@ class Recorder(Automaton):
     def payload(self, k: Round) -> Payload:
         return ("PING", self.pid, k)
 
-    def deliver(self, k, messages):
-        self.inbox_log[k] = messages
+    def deliver_view(self, k, view):
+        self.inbox_log[k] = view.messages
 
 
 class SilentThenHalt(Automaton):
@@ -30,7 +30,7 @@ class SilentThenHalt(Automaton):
     def payload(self, k):
         return None
 
-    def deliver(self, k, messages):
+    def deliver_view(self, k, view):
         if k == 2:
             self._decide(self.proposal, k)
             self._halt()

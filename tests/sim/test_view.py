@@ -15,7 +15,6 @@ import pytest
 from repro.algorithms.base import Automaton, make_automata
 from repro.algorithms.common import ConsensusAutomaton, decide_payload
 from repro.algorithms.registry import get_factory
-from repro.errors import AlgorithmError
 from repro.model.messages import Message
 from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
@@ -133,7 +132,7 @@ class TestShifted:
 
 
 class Recorder(Automaton):
-    """A deliver-only automaton: exercises the base-class shim."""
+    """Records each round's flat inbox (``view.messages``)."""
 
     def __init__(self, pid, n, t, proposal):
         super().__init__(pid, n, t, proposal)
@@ -142,14 +141,16 @@ class Recorder(Automaton):
     def payload(self, k):
         return ("REC", k, self.pid)
 
-    def deliver(self, k, messages):
-        self.seen.append((k, messages))
+    def deliver_view(self, k, view):
+        self.seen.append((k, view.messages))
         if k >= 3:
             self._decide(self.proposal, k)
             self._halt()
 
 
 class TestLegacyShim:
+    """The flat-tuple ``deliver`` bridge into the one ``deliver_view`` hook."""
+
     def test_unported_automaton_gets_canonical_flat_inboxes(self):
         builder = ScheduleBuilder(3, 1, horizon=5)
         builder.delay(sender=2, receiver=0, k=1, until=2)
@@ -165,29 +166,24 @@ class TestLegacyShim:
         assert [m.sent_round for m in inbox] == [1, 2, 2, 2]
         assert all(m.receiver == 0 for m in inbox)
 
-    def test_consensus_bridge_rejects_hookless_subclass(self):
-        class Hookless(ConsensusAutomaton):
-            def round_payload(self, k):
-                return None
-
-        automaton = Hookless(0, 3, 1, 0)
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver(1, ())
-
-    def test_automaton_rejects_hookless_subclass_at_delivery(self):
+    def test_hookless_subclasses_cannot_be_instantiated(self):
+        # deliver_view and round_deliver_view are abstract: a subclass
+        # missing its receive hook fails at construction, not mid-run.
         class NoHooks(Automaton):
             def payload(self, k):
                 return None
 
-        automaton = NoHooks(0, 3, 1, 0)
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver(1, ())
-        with pytest.raises(AlgorithmError, match="neither"):
-            automaton.deliver_view(1, view_of(n=3))
+        class Hookless(ConsensusAutomaton):
+            def round_payload(self, k):
+                return None
+
+        for cls in (NoHooks, Hookless):
+            with pytest.raises(TypeError, match="abstract"):
+                cls(0, 3, 1, 0)
 
     def test_view_only_automaton_runs_and_bridges(self):
         # The documented contract: implementing only the fast hook is
-        # enough — the kernel drives it directly, and direct legacy
+        # enough — the kernel drives it directly, and direct
         # deliver() calls bridge through from_messages.
         class ViewOnly(Automaton):
             def __init__(self, pid, n, t, proposal):
@@ -216,42 +212,9 @@ class TestLegacyShim:
         )
         assert direct.tagged_counts == [1]
 
-    def test_legacy_round_hook_on_ported_algorithm_subclass_wins(self):
-        # Pre-view contract for the primary extension surface: an
-        # out-of-tree subclass of a *ported* stock algorithm overriding
-        # only the legacy round_deliver must run its override — the
-        # ancestor's round_deliver_view must not shadow it.
-        from repro.algorithms.floodset import FloodSet
-
-        calls = []
-
-        class MyFloodSet(FloodSet):
-            def round_deliver(self, k, messages):
-                calls.append(k)
-                # tweak: decide the *max* known value instead
-                union = set(self.known)
-                for m in self.current_round(messages, k):
-                    if m.tag == "FLOOD":
-                        union.update(m.payload[2])
-                self.known = frozenset(union)
-                if k == self.t + 1:
-                    self._decide(max(self.known), k)
-
-        schedule = Schedule.failure_free(4, 1, 6)
-        trace = execute(
-            make_automata(MyFloodSet, 4, 1, [3, 1, 4, 1]), schedule,
-            trace="full",
-        )
-        assert calls, "the subclass's legacy round hook never ran"
-        assert trace.decided_values() == {4}
-        reference = execute_reference(
-            make_automata(MyFloodSet, 4, 1, [3, 1, 4, 1]), schedule
-        )
-        assert trace == reference
-
     def test_consensus_deliver_view_override_bridges_from_deliver(self):
         # The symmetric takeover: a subclass overriding only
-        # deliver_view defines the behavior of direct legacy deliver()
+        # deliver_view defines the behavior of direct deliver()
         # calls too — they must land in the override, not the protocol.
         class ViewTakeover(ConsensusAutomaton):
             announce_decision = False
@@ -263,6 +226,9 @@ class TestLegacyShim:
             def round_payload(self, k):
                 return ("VT", k)
 
+            def round_deliver_view(self, k, view):  # pragma: no cover
+                raise AssertionError("deliver_view override bypasses hooks")
+
             def deliver_view(self, k, view):
                 self.rounds_seen.append((k, len(view.current)))
 
@@ -272,67 +238,6 @@ class TestLegacyShim:
                         payload=("VT", 2)),)
         )
         assert automaton.rounds_seen == [(2, 1)]
-
-    def test_consensus_deliver_override_still_drives_the_run(self):
-        # Pre-view contract: a ConsensusAutomaton subclass could take
-        # over the whole receive phase by overriding deliver(); the
-        # kernel must still honor that override through deliver_view.
-        class TakesOver(ConsensusAutomaton):
-            announce_decision = False
-
-            def round_payload(self, k):
-                return ("TO", k, self.proposal)
-
-            def deliver(self, k, messages):
-                # bespoke protocol: decide own proposal in round 2,
-                # ignoring DECIDE handling entirely
-                assert all(isinstance(m, Message) for m in messages)
-                if k == 2:
-                    self._decide(self.proposal, k)
-                    self._halt()
-
-            def round_deliver(self, k, messages):  # pragma: no cover
-                raise AssertionError("deliver override bypasses hooks")
-
-        schedule = Schedule.failure_free(3, 1, 5)
-        trace = execute(
-            make_automata(TakesOver, 3, 1, [4, 5, 6]), schedule,
-            trace="full",
-        )
-        reference = execute_reference(
-            make_automata(TakesOver, 3, 1, [4, 5, 6]), schedule
-        )
-        assert trace == reference
-        assert trace.decisions == {0: (4, 2), 1: (5, 2), 2: (6, 2)}
-
-    def test_old_style_round_deliver_subclass_still_runs(self):
-        class OldStyle(ConsensusAutomaton):
-            announce_decision = False
-
-            def __init__(self, pid, n, t, proposal):
-                super().__init__(pid, n, t, proposal)
-                self.best = proposal
-
-            def round_payload(self, k):
-                return ("OS", k, self.best)
-
-            def round_deliver(self, k, messages):
-                for m in self.current_round(messages, k):
-                    if m.tag == "OS":
-                        self.best = min(self.best, m.payload[2])
-                if k == self.t + 1:
-                    self._decide(self.best, k)
-
-        schedule = Schedule.failure_free(4, 1, 6)
-        trace = execute(
-            make_automata(OldStyle, 4, 1, [3, 1, 4, 1]), schedule,
-            trace="full",
-        )
-        reference = execute_reference(
-            make_automata(OldStyle, 4, 1, [3, 1, 4, 1]), schedule
-        )
-        assert trace == reference
-        assert trace.decided_values() == {1}
 
 
 class TestPlanSharingGroups:
@@ -383,13 +288,19 @@ class TestPlanSharingGroups:
 class TestViewKernelEquivalence:
     @pytest.mark.parametrize("name", ["att2", "chandra_toueg", "floodset_ws"])
     def test_view_and_flat_delivery_agree(self, name):
-        # Forcing every automaton through flat delivery (the base-class
-        # shim: materialized message tuples, structure re-derived per
-        # receiver — what any unported automaton pays) must not change
-        # a single record: the view is a faster representation, never a
-        # different one.  The same patch is the kernel microbench's
-        # "flat" arm, so this test pins the arm's semantics too.
+        # Forcing every automaton through flat delivery (materialized
+        # message tuples, structure re-derived per receiver by
+        # RoundView.from_messages) must not change a single record: the
+        # view is a faster representation, never a different one.  The
+        # same wrapper is the kernel microbench's "flat" arm, so this
+        # test pins the arm's semantics too.
         from types import MethodType
+
+        def flat_deliver_view(self, k, view):
+            type(self).deliver_view(
+                self, k,
+                RoundView.from_messages(k, self.pid, self.n, view.messages),
+            )
 
         factory = get_factory(name)
         n, t = 5, 2
@@ -402,7 +313,7 @@ class TestViewKernelEquivalence:
             flat_automata = make_automata(factory, n, t, list(range(n)))
             for automaton in flat_automata:
                 automaton.deliver_view = MethodType(
-                    Automaton.deliver_view, automaton
+                    flat_deliver_view, automaton
                 )
             flat = execute(flat_automata, schedule, trace="full")
             assert ported == flat
