@@ -28,7 +28,8 @@ by the set itself rather than a mask.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import threading
+from typing import Iterable
 
 from repro.types import ProcessId
 
@@ -65,12 +66,41 @@ def mask_of(pids: Iterable[ProcessId]) -> int:
     return mask
 
 
-def iter_bits(mask: int) -> Iterator[ProcessId]:
-    """The set bit indices of *mask*, ascending — pids of a mask set."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+#: ``_BYTE_BITS[offset][byte]``: the set bit indices of *byte* read as
+#: the mask's ``offset``-th little-endian byte.  One 256-entry table per
+#: byte offset, grown on demand up to the widest mask seen.  Growth
+#: holds the lock so concurrent callers (the thread executor) cannot
+#: append a table at the wrong offset; readers only index tables that
+#: already exist.
+_BYTE_BITS: list[tuple[tuple[ProcessId, ...], ...]] = []
+_GROW_LOCK = threading.Lock()
+
+
+def _grow_byte_tables(width: int) -> None:
+    with _GROW_LOCK:
+        for offset in range(len(_BYTE_BITS), width):
+            base = offset * 8
+            _BYTE_BITS.append(tuple(
+                tuple(base + bit for bit in range(8) if byte >> bit & 1)
+                for byte in range(256)
+            ))
+
+
+def iter_bits(mask: int) -> list[ProcessId]:
+    """The set bit indices of *mask*, ascending — pids of a mask set.
+
+    Walks the mask a byte at a time through the per-offset byte tables,
+    so the cost is one table lookup per non-zero byte rather than one
+    big-int operation per set bit.
+    """
+    width = (mask.bit_length() + 7) >> 3
+    if width > len(_BYTE_BITS):
+        _grow_byte_tables(width)
+    bits: list[ProcessId] = []
+    for table, byte in zip(_BYTE_BITS, mask.to_bytes(width, "little")):
+        if byte:
+            bits += table[byte]
+    return bits
 
 
 def interned_set(mask: int) -> frozenset[ProcessId]:

@@ -7,38 +7,34 @@ execution kernel used to issue O(n²) such calls *per round*, which is
 exactly the bookkeeping that made large-n sweeps impractical.
 
 :func:`compile_schedule` performs that resolution **once per schedule**
-and freezes the answers into a :class:`CompiledSchedule`:
+and freezes the answers into a :class:`CompiledSchedule`.  Every process
+set in the plan is an int bitmask (bit ``i`` stands for process ``i``,
+see :mod:`repro.sim.bitset`):
 
-* ``senders[k]`` — the processes that send in round k (still up at the
-  start of the round);
-* ``completers[k]`` — the processes that survive the whole of round k;
-* ``delayed_inboxes[k][receiver]`` / ``current_senders[k][receiver]`` —
-  the delivery plan, pre-bucketed for
-  :class:`~repro.sim.view.RoundView` construction: the canonically
-  ordered earlier-round ``(sent_round, sender)`` pairs, and the
-  ascending senders whose round-k message arrives in round k (their
-  ``sent_round`` is implied) — the per-message age test is resolved at
-  compile time.  Messages to receivers that leave the computation
-  before the delivery round are already filtered out, so the kernel
-  never buffers anything it would later drop.  The merged flat form is
-  available as the derived ``inboxes`` property (diagnostics/tests
-  only — storing it would double the plan);
-* ``current_groups[k]`` / ``delayed_groups[k]`` — for each receiver,
-  the lowest receiver id with a byte-identical current-round
-  (respectively delayed) round-k plan.  Payload availability is global
-  (a sender either broadcast in a round or did not), so receivers in
-  one group see identical ``(sender, payload)`` buckets and the kernel
-  builds them once per group.  The two keys are independent: a delayed
-  delivery only desynchronizes a receiver's *delayed* bucket, so in the
-  common sparse-delay rounds nearly every receiver still shares the one
-  expensive current-round bucket set — in an all-to-all synchronous
-  round, the partitioning work is paid once per *round*;
-* ``crashed[k]`` — the processes crashing in round k (trace metadata).
+* ``sender_masks[k]`` — the processes that send in round k (still up at
+  the start of the round);
+* ``completer_masks[k]`` — the processes that survive the whole of
+  round k.  The round's crash set is ``sender_masks[k] &
+  ~completer_masks[k]``, materialized only for full-trace records;
+* ``current_masks[k][receiver]`` / ``delayed_inboxes[k][receiver]`` —
+  the delivery plan, split by message age: the senders whose round-k
+  message arrives in round k, and the canonically ordered earlier-round
+  ``(sent_round, sender)`` pairs landing in round k.  The per-message
+  age test is resolved at compile time, and messages to receivers that
+  leave the computation before the delivery round are already filtered
+  out, so the kernel never buffers anything it would later drop;
+* ``delayed_groups[k][receiver]`` — the lowest receiver id with an
+  identical delayed round-k plan.  Payload availability is global (a
+  sender either broadcast in a round or did not), so receivers in one
+  group see identical delayed buckets and the kernel builds them once
+  per group.  The current-round half needs no such key: a mask is its
+  own group key.
 
 The plan captures everything the *schedule* contributes to a run; only
 the dynamic part — which processes have halted, and what payloads the
 automata produce — remains for the kernel's hot loop, whose per-round
-cost drops from O(n²) schedule method calls to plain list indexing.
+cost drops from O(n²) schedule method calls to a few mask operations
+and plain tuple indexing.
 
 Compilation costs one O(n² · horizon) sweep — the same work as a single
 reference execution's bookkeeping — and is memoized on the schedule
@@ -54,17 +50,12 @@ workers receive lean schedules and recompile locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.model.schedule import Schedule
-from repro.sim.bitset import interned_set, mask_of
+from repro.sim.bitset import iter_bits, mask_of
 from repro.types import ProcessId, Round
 
 __all__ = ["CompiledSchedule", "compile_schedule"]
-
-#: The interned empty crash set — most rounds crash nobody, and every
-#: such round in every compiled plan shares this one object.
-_EMPTY_PIDS: frozenset[ProcessId] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -73,88 +64,39 @@ class CompiledSchedule:
 
     All per-round sequences are indexed directly by the 1-based round
     number (index 0 is an unused placeholder), matching the kernel's
-    loop variable.
+    loop variable.  Process sets are int bitmasks throughout.
 
     Attributes:
         schedule: the schedule this plan was compiled from.
         n: number of processes.
         horizon: the compiled round horizon (``schedule.horizon``).
-        senders: per round, the processes that send (ascending pids).
-        completers: per round, the processes that complete the round's
-            receive phase per the schedule (ascending pids; dynamic
-            halting is the kernel's concern).
+        sender_masks: per round, the processes that send.
+        completer_masks: per round, the processes that complete the
+            round's receive phase per the schedule (dynamic halting is
+            the kernel's concern).
+        current_masks: per round and receiver, the senders whose round-k
+            message arrives in round k.  ANDed with the round's
+            broadcaster mask it is the receiver's arrived-sender mask,
+            and the key under which the kernel shares one current-round
+            bucket set.
         delayed_inboxes: per round and receiver, the earlier-round
             ``(sent_round, sender)`` pairs delivered to that receiver
-            in that round, in canonical order and already filtered of
-            messages whose receiver leaves the computation before
-            delivery.
-        current_senders: the current-round half of the delivery plan —
-            per round and receiver, the ascending senders whose round-k
-            message arrives in round k.
-        current_groups: per round and receiver, the lowest receiver id
-            whose ``current_senders`` round plan is identical — the key
-            under which the kernel shares one current-round
-            :class:`~repro.sim.view.RoundView` bucket set.
-        current_masks: ``current_senders`` as per-receiver int bitmasks —
-            what lets the kernel hand every receiver its arrived-sender
-            mask (``plan mask & round's broadcaster mask``) in O(1)
-            without materializing the round's ``(sender, payload)``
-            buckets (they build lazily, once per sharing group, on first
-            structured access).
-        delayed_groups: the same sharing key for the delayed plan.
-        crashed: per round, the processes crashing in that round.
-        sender_masks: ``senders`` as per-round int bitmasks (bit ``i``
-            set iff process ``i`` sends in the round).
-        completer_masks: ``completers`` as per-round bitmasks.
-        crashed_masks: ``crashed`` as per-round bitmasks.
-
-    The tuple rows and the mask rows describe the same sets; the masks
-    are the data plane's working representation (single-word complement
-    and membership), the tuples/frozensets the iteration-order-carrying
-    boundary one.  Rounds in which nothing crashes *share* their
-    sender/completer rows with the previous round — in a failure-free
-    schedule the whole plan holds one sender tuple, not ``horizon`` of
-    them.
+            in that round, in canonical order.
+        delayed_groups: per round and receiver, the lowest receiver id
+            whose ``delayed_inboxes`` round plan is identical — the key
+            under which the kernel shares one delayed bucket set.
     """
 
     schedule: Schedule
     n: int
     horizon: Round
-    senders: tuple[tuple[ProcessId, ...], ...]
-    completers: tuple[tuple[ProcessId, ...], ...]
+    sender_masks: tuple[int, ...]
+    completer_masks: tuple[int, ...]
+    current_masks: tuple[tuple[int, ...], ...]
     delayed_inboxes: tuple[
         tuple[tuple[tuple[Round, ProcessId], ...], ...], ...
     ]
-    current_senders: tuple[tuple[tuple[ProcessId, ...], ...], ...]
-    current_groups: tuple[tuple[ProcessId, ...], ...]
-    current_masks: tuple[tuple[int, ...], ...]
     delayed_groups: tuple[tuple[ProcessId, ...], ...]
-    crashed: tuple[frozenset[ProcessId], ...]
-    sender_masks: tuple[int, ...]
-    completer_masks: tuple[int, ...]
-    crashed_masks: tuple[int, ...]
-
-    @cached_property
-    def inboxes(
-        self,
-    ) -> tuple[tuple[tuple[tuple[Round, ProcessId], ...], ...], ...]:
-        """The merged flat delivery plan: per round and receiver, the
-        canonically ordered ``(sent_round, sender)`` pairs.
-
-        Derived on demand from the split halves the kernel actually
-        reads — storing it eagerly would double every memoized plan's
-        O(n² · horizon) footprint for a structure only diagnostics and
-        tests consume.
-        """
-        return tuple(
-            tuple(
-                delayed + tuple((k, sender) for sender in current)
-                for delayed, current in zip(per_delayed, per_current)
-            )
-            for k, (per_delayed, per_current) in enumerate(
-                zip(self.delayed_inboxes, self.current_senders)
-            )
-        )
 
 
 def _compile(schedule: Schedule) -> CompiledSchedule:
@@ -164,60 +106,41 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
     never = horizon + 1
     crash_at = [never if r is None else r for r in crash_round]
 
-    senders: list[tuple[ProcessId, ...]] = [()]
-    completers: list[tuple[ProcessId, ...]] = [()]
-    crashed: list[frozenset[ProcessId]] = [_EMPTY_PIDS]
     sender_masks: list[int] = [0]
     completer_masks: list[int] = [0]
-    crashed_masks: list[int] = [0]
-    inboxes: list[list[list[tuple[Round, ProcessId]]]] = [
-        [[] for _ in range(n)] for _ in range(horizon + 1)
-    ]
+    current: list[list[int]] = [[0] * n for _ in range(horizon + 1)]
+    # (delivery round, receiver) -> earlier-round (sent_round, sender)
+    # pairs; current-round deliveries go straight into the masks.
+    delayed: dict[tuple[Round, ProcessId], list] = {}
     # sync_ok[k] goes False when round k violates the synchrony condition
     # (a non-crash-round message to a completing receiver not arriving in
     # its sending round) — the same predicate as
     # Schedule.is_synchronous_round, folded into this sweep for free.
     sync_ok = [True] * (horizon + 1)
 
-    # Crash rounds bucketed once: rounds without an entry reuse the
-    # previous round's sender/completer rows wholesale instead of
-    # rebuilding n-element tuples per round.
-    crashes_in: dict[Round, list[ProcessId]] = {}
+    # Crash rounds bucketed once, as masks: a round without an entry
+    # crashes nobody, so its completers are its senders.
+    crashes_in: dict[Round, int] = {}
     for pid in range(n):
-        if crash_at[pid] <= horizon:
-            crashes_in.setdefault(crash_at[pid], []).append(pid)
+        k = crash_at[pid]
+        if k <= horizon:
+            crashes_in[k] = crashes_in.get(k, 0) | 1 << pid
 
     # Live at the start of round 1: everyone whose crash round is >= 1
     # (i.e. everyone — crash rounds are 1-based — unless a degenerate
     # schedule crashes a process before the run starts).
-    live = tuple(pid for pid in range(n) if crash_at[pid] >= 1)
-    live_mask = mask_of(live)
+    live_mask = mask_of(pid for pid in range(n) if crash_at[pid] >= 1)
 
     delivery_round = schedule.delivery_round
     for k in range(1, horizon + 1):
-        round_senders = live
-        crashing = crashes_in.get(k)
-        if crashing is None:
-            round_completers = live
-            completer_mask = live_mask
-            crashed.append(_EMPTY_PIDS)
-            crashed_masks.append(0)
-        else:
-            crashed_mask = mask_of(crashing)
-            round_completers = tuple(
-                pid for pid in live if crash_at[pid] > k
-            )
-            completer_mask = live_mask & ~crashed_mask
-            crashed.append(interned_set(crashed_mask))
-            crashed_masks.append(crashed_mask)
-        senders.append(round_senders)
+        round_senders = iter_bits(live_mask)
         sender_masks.append(live_mask)
-        completers.append(round_completers)
-        completer_masks.append(completer_mask)
-        live = round_completers
-        live_mask = completer_mask
+        live_mask &= ~crashes_in.get(k, 0)
+        completer_masks.append(live_mask)
+        round_current = current[k]
         for sender in round_senders:
             sender_crashes_now = crash_at[sender] == k
+            bit = 1 << sender
             for receiver in range(n):
                 delivery = delivery_round(sender, receiver, k)
                 if (
@@ -233,43 +156,26 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
                     # The receiver leaves the computation before the
                     # delivery round; the message can never be received.
                     continue
-                inboxes[delivery][receiver].append((k, sender))
+                if delivery == k:
+                    round_current[receiver] |= bit
+                else:
+                    delayed.setdefault((delivery, receiver), []).append(
+                        (k, sender)
+                    )
 
+    current_masks: list[tuple[int, ...]] = [()]
     delayed_inboxes: list[tuple] = [()]
-    current_senders: list[tuple] = [()]
-    current_groups: list[tuple] = [()]
-    current_masks: list[tuple] = [()]
     delayed_groups: list[tuple] = [()]
     for k in range(1, horizon + 1):
         round_delayed = []
-        round_current = []
-        round_cgroups = []
-        round_cmasks = []
         round_dgroups = []
-        cgroup_reps: dict[tuple, ProcessId] = {}
-        cmask_memo: dict[tuple, int] = {}
         dgroup_reps: dict[tuple, ProcessId] = {}
         for receiver in range(n):
-            entries = inboxes[k][receiver]
-            entries.sort()
-            delayed = tuple(
-                pair for pair in entries if pair[0] != k
-            )
-            current = tuple(
-                sender for sent_round, sender in entries if sent_round == k
-            )
-            round_delayed.append(delayed)
-            round_current.append(current)
-            round_cgroups.append(cgroup_reps.setdefault(current, receiver))
-            cmask = cmask_memo.get(current)
-            if cmask is None:
-                cmask = cmask_memo[current] = mask_of(current)
-            round_cmasks.append(cmask)
-            round_dgroups.append(dgroup_reps.setdefault(delayed, receiver))
+            pairs = tuple(sorted(delayed.get((k, receiver), ())))
+            round_delayed.append(pairs)
+            round_dgroups.append(dgroup_reps.setdefault(pairs, receiver))
+        current_masks.append(tuple(current[k]))
         delayed_inboxes.append(tuple(round_delayed))
-        current_senders.append(tuple(round_current))
-        current_groups.append(tuple(round_cgroups))
-        current_masks.append(tuple(round_cmasks))
         delayed_groups.append(tuple(round_dgroups))
 
     if schedule.__dict__.get("_sync_from_cache") is None:
@@ -283,17 +189,11 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
         schedule=schedule,
         n=n,
         horizon=horizon,
-        senders=tuple(senders),
-        completers=tuple(completers),
-        delayed_inboxes=tuple(delayed_inboxes),
-        current_senders=tuple(current_senders),
-        current_groups=tuple(current_groups),
-        current_masks=tuple(current_masks),
-        delayed_groups=tuple(delayed_groups),
-        crashed=tuple(crashed),
         sender_masks=tuple(sender_masks),
         completer_masks=tuple(completer_masks),
-        crashed_masks=tuple(crashed_masks),
+        current_masks=tuple(current_masks),
+        delayed_inboxes=tuple(delayed_inboxes),
+        delayed_groups=tuple(delayed_groups),
     )
 
 

@@ -15,12 +15,15 @@ receive phase.
 
 Execution runs on a compiled plan (:mod:`repro.sim.compiled`): the
 schedule's send/completion/delivery structure is resolved once per
-schedule, so the per-round hot loop touches only flat tuples — no
-``sends_in_round``/``delivery_round``/``completes_round`` calls.
-Delivery goes through :class:`~repro.sim.view.RoundView`: the kernel
-builds each receiver's structured inbox (current-round items bucketed
-by tag, delayed messages separate, present-sender set) straight from
-the plan — shared across receivers with identical delivery plans — and
+schedule into int bitmasks, so the per-round hot loop is mask
+arithmetic and tuple indexing — no
+``sends_in_round``/``delivery_round``/``completes_round`` calls.  The
+halted set is a mask too: a round's active senders and receivers are
+one ``& ~halted_mask`` each.  Delivery goes through
+:class:`~repro.sim.view.RoundView`: the kernel builds each receiver's
+structured inbox (current-round items bucketed by tag, delayed messages
+separate, present-sender set) straight from the plan — shared across
+receivers with the same arrived-sender mask or delayed plan — and
 drives the automata through
 :meth:`~repro.algorithms.base.Automaton.deliver_view`, the one receive
 hook.  Both trace modes run the same loop; ``trace="full"`` only adds
@@ -42,7 +45,7 @@ from repro.algorithms.base import AlgorithmFactory, Automaton
 from repro.errors import SimulationError
 from repro.model.messages import DUMMY, Message, sort_delivery
 from repro.model.schedule import Schedule
-from repro.sim.bitset import interned_set, mask_of
+from repro.sim.bitset import interned_set, iter_bits
 from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.phase1_plane import build_run_plane
 from repro.sim.trace import AnyTrace, LeanTrace, RoundRecord, Trace
@@ -69,38 +72,34 @@ def _round_view_factory(
     plan: CompiledSchedule,
     table: SendTable,
     payloads: Sequence[Sequence[Payload]],
-    shared_current: dict[ProcessId, CurrentCell],
+    shared_current: dict[int, CurrentCell],
     shared_delayed: dict[ProcessId, tuple],
 ) -> Callable[[ProcessId], RoundView]:
-    """One round's view builder, sharing buckets across plan groups.
+    """One round's view builder, sharing buckets across receivers.
 
     Returns ``view_for(pid)``.  ``shared_current``/``shared_delayed``
-    are the run's preallocated group-bucket maps; the caller clears them
+    are the run's preallocated bucket maps; the caller clears them
     between rounds instead of allocating fresh dicts.
 
-    Current-round buckets are *lazy*: each plan group gets one shared
-    :class:`CurrentCell` and views carry only the arrived-sender mask
-    (the compiled plan mask ANDed with the round's broadcaster mask —
-    exactly the senders surviving the table filter in
-    :func:`build_current_buckets`).  A receiver whose round never
-    touches ``current``/``by_tag``/``decides`` — the batched Phase-1
-    plane path — skips the O(plan-size) build entirely.
+    Current-round buckets are *lazy* and keyed by the receiver's
+    arrived-sender mask (the compiled plan mask ANDed with the round's
+    broadcaster mask): buckets are a pure function of that mask and the
+    send table, so every receiver with the same mask shares one
+    :class:`CurrentCell`, and views carry only the mask.  A receiver
+    whose round never touches ``current``/``by_tag``/``decides`` — the
+    batched Phase-1 plane path — skips the build entirely.  Delayed
+    buckets are shared by ``plan.delayed_groups``.
     """
     delayed_plan = plan.delayed_inboxes[k]
-    current_plan = plan.current_senders[k]
-    cgroups = plan.current_groups[k]
     cmasks = plan.current_masks[k]
     dgroups = plan.delayed_groups[k]
     sender_mask = table.sender_mask
 
     def view_for(pid: ProcessId) -> RoundView:
         cmask = cmasks[pid] & sender_mask
-        rep = cgroups[pid]
-        cell = shared_current.get(rep)
+        cell = shared_current.get(cmask)
         if cell is None:
-            cell = shared_current[rep] = CurrentCell(
-                current_plan[pid], table, cmask
-            )
+            cell = shared_current[cmask] = CurrentCell(table, cmask)
         rep = dgroups[pid]
         dly = shared_delayed.get(rep)
         if dly is None:
@@ -176,7 +175,7 @@ def execute(
     plane = build_run_plane(automata)
     full = trace == "full"
     n = schedule.n
-    halted: set[ProcessId] = set()
+    halted_mask = 0
     halted_rounds: dict[ProcessId, Round] = {}
     decided_at: dict[ProcessId, tuple[Value, Round]] = {}
     # payloads[pid][k] is what pid broadcast in round k (or _NOT_SENT).
@@ -186,7 +185,7 @@ def execute(
     records: list[RoundRecord] = []
     # Preallocated per-run buffers, reset (not reallocated) per round.
     table = SendTable(n)
-    shared_current: dict[ProcessId, CurrentCell] = {}
+    shared_current: dict[int, CurrentCell] = {}
     shared_delayed: dict[ProcessId, tuple] = {}
 
     for k in range(1, horizon + 1):
@@ -195,9 +194,7 @@ def execute(
         # --- send phase ---------------------------------------------------
         table.reset()
         record_send = table.record
-        for pid in plan.senders[k]:
-            if pid in halted:
-                continue
+        for pid in iter_bits(plan.sender_masks[k] & ~halted_mask):
             payload = automata[pid].payload(k)
             if payload is None:
                 payload = DUMMY
@@ -205,16 +202,15 @@ def execute(
                 hash(payload)  # fail fast on unhashable payloads
             payloads[pid][k] = payload
             record_send(pid, payload)
-        table.seal()
 
         # --- receive phase --------------------------------------------------
         # Message objects are materialized only for full-trace records:
-        # automata consume the shared per-group buckets directly, so the
-        # per-round delivery cost is one bucket build per view group
-        # plus the automaton logic itself.
+        # automata consume the shared buckets directly, so the
+        # per-round delivery cost is one bucket build per distinct
+        # arrived-sender mask plus the automaton logic itself.
         delivered: dict[ProcessId, tuple[Message, ...]] = {}
         decided_this_round: dict[ProcessId, Value] = {}
-        halted_this_round: list[ProcessId] = []
+        halted_now = 0
         shared_current.clear()
         shared_delayed.clear()
         view_for = _round_view_factory(
@@ -223,11 +219,9 @@ def execute(
         if plane is not None:
             # Post-send, pre-receive: the plane's refreshed rows are
             # exactly the Halt sets this round's payloads carry, and
-            # the sealed table is the round's broadcast universe.
+            # the filled table is the round's broadcast universe.
             plane.begin_round(k, table)
-        for pid in plan.completers[k]:
-            if pid in halted:
-                continue
+        for pid in iter_bits(plan.completer_masks[k] & ~halted_mask):
             view = view_for(pid)
             if full:
                 delivered[pid] = view.messages
@@ -238,9 +232,9 @@ def execute(
                 decided_at[pid] = (automaton.decision, k)
                 decided_this_round[pid] = automaton.decision
             if automaton.halted:
-                halted.add(pid)
                 halted_rounds[pid] = k
-                halted_this_round.append(pid)
+                halted_now |= 1 << pid
+        halted_mask |= halted_now
         if plane is not None:
             plane.end_round()
 
@@ -254,13 +248,15 @@ def execute(
                     },
                     delivered=delivered,
                     decided=decided_this_round,
-                    crashed=plan.crashed[k],
-                    halted=interned_set(mask_of(halted_this_round)),
+                    crashed=interned_set(
+                        plan.sender_masks[k] & ~plan.completer_masks[k]
+                    ),
+                    halted=interned_set(halted_now),
                 )
             )
 
-        if stop_when_quiescent and all(
-            pid in halted for pid in plan.completers[k]
+        if stop_when_quiescent and not (
+            plan.completer_masks[k] & ~halted_mask
         ):
             break
 

@@ -145,7 +145,7 @@ class Phase1Plane:
 
         Re-transposes exactly the Halt rows that changed since the last
         refresh, then derives the round's global fold inputs from the
-        sealed send *table*: the ESTIMATE-broadcaster mask and the
+        filled send *table*: the ESTIMATE-broadcaster mask and the
         est-sorted ``(est, sender_bit)`` order.  Runs *after* the send
         phase, so the refreshed rows are the rows the round-k ESTIMATE
         payloads carry — which is what makes ``arrived &

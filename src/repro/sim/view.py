@@ -30,12 +30,13 @@ Message objects are materialized lazily (:attr:`RoundView.messages`):
 an automaton ported onto :meth:`~repro.algorithms.base.Automaton.
 deliver_view` that only touches the structured accessors never pays for
 them, which is where most of the large-n delivery speedup comes from.
-Receivers with byte-identical delivery plans share one set of buckets
-per round — current-round and delayed plans are keyed independently
-(``CompiledSchedule.current_groups`` / ``delayed_groups``), so a sparse
-delayed delivery only desynchronizes the small delayed bucket and the
-expensive current-round partitioning is still paid once per round in
-the common all-to-all case.  The partitioning itself starts from a
+Receivers share buckets per round, with the two halves keyed
+independently: current-round buckets by the receiver's arrived-sender
+mask (buckets are a pure function of that mask and the round's sends),
+delayed ones by ``CompiledSchedule.delayed_groups``.  A sparse delayed
+delivery therefore only desynchronizes the small delayed bucket, and
+the expensive current-round partitioning is still paid once per round
+in the common all-to-all case.  The partitioning itself starts from a
 :class:`SendTable` the kernel fills during the send phase, so payload
 tags are classified once per broadcast, not once per receiver.
 
@@ -43,7 +44,7 @@ The current-round partitioning is itself lazy on the kernel path
 (:class:`CurrentCell`, :meth:`RoundView.lazy`): a kernel-built view
 carries only the arrived-sender *mask* (one ``&`` of the compiled
 plan's per-receiver mask against the send table's broadcaster mask) and
-a per-group cell that materializes the ``(sender, payload)`` buckets on
+a per-mask cell that materializes the ``(sender, payload)`` buckets on
 first structured access.  A receiver whose round consumes only masks —
 the batched Phase-1 suspicion plane (:mod:`repro.sim.phase1_plane`) is
 the flagship — never builds its bucket set at all, which is what breaks
@@ -60,7 +61,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.model.messages import Message, fast_message
-from repro.sim.bitset import full_mask, interned_set
+from repro.sim.bitset import full_mask, interned_set, iter_bits
 from repro.types import Payload, ProcessId, Round
 
 __all__ = [
@@ -121,12 +122,12 @@ class RoundView:
             :attr:`absent` materialize the interned frozensets lazily.
 
     The bucket attributes may be shared between views of different
-    receivers with identical delivery plans; views are read-only.
+    receivers with identical deliveries; views are read-only.
 
     On the kernel path (:meth:`lazy`) the current-round buckets are not
-    built up front: the view carries the arrived-sender mask plus a
-    per-group :class:`CurrentCell`, and ``current`` / ``by_tag`` /
-    ``decides`` materialize (group-shared, once) on first access.  Every
+    built up front: the view carries the arrived-sender mask plus the
+    round's :class:`CurrentCell` for that mask, and ``current`` /
+    ``by_tag`` / ``decides`` materialize (shared, once) on first access.  Every
     accessor returns exactly what the eager constructor would have been
     handed, so callers cannot observe which constructor built the view.
     """
@@ -175,10 +176,10 @@ class RoundView:
     ) -> "RoundView":
         """A kernel-path view whose current buckets build on demand.
 
-        *current_mask* must equal the mask of senders the cell's built
-        ``current`` bucket will carry (the compiled plan mask ANDed with
-        the round's broadcaster mask) — the kernel computes it in O(1)
-        so mask-only consumers never trigger the build.
+        *current_mask* must equal the cell's mask (the compiled plan
+        mask ANDed with the round's broadcaster mask) — the kernel
+        computes it in O(1) so mask-only consumers never trigger the
+        build.
         """
         view = cls.__new__(cls)
         view.round = round
@@ -197,7 +198,7 @@ class RoundView:
         return view
 
     def _materialize(self) -> None:
-        """Pull the group-shared buckets out of the cell (lazy views)."""
+        """Pull the shared buckets out of the cell (lazy views)."""
         current, by_tag, decides, _mask = self._cell.built()
         self._current = current
         self._by_tag = by_tag
@@ -420,44 +421,31 @@ class RoundView:
 
 
 class CurrentCell:
-    """One current-group's lazily-built shared buckets.
+    """One arrived-sender mask's lazily-built shared buckets.
 
-    The kernel creates one cell per ``current_groups`` representative
-    per round and hands it to every :meth:`RoundView.lazy` view in the
-    group; the first structured access on *any* of them runs
+    The kernel creates one cell per distinct arrived-sender mask per
+    round and hands it to every :meth:`RoundView.lazy` view with that
+    mask; the first structured access on *any* of them runs
     :func:`build_current_buckets` and the result is shared by the rest.
-    Rounds whose receivers consume only masks (the batched Phase-1
-    plane) never trigger the build at all.
-
-    *mask* is the group's surviving-sender mask (plan ∩ broadcasters).
-    A group that hears **every** broadcaster — the overwhelmingly common
-    shape even on schedules whose delivery plans are all distinct, where
-    fragmentation comes from a few delayed messages — resolves to the
-    table's round-wide full bucket set instead of building its own, so
-    the per-round materialization cost collapses from O(groups · n) to
-    O(n) plus the stragglers.
+    Buckets are a pure function of the mask and the round's
+    :class:`SendTable`, so the sharing is exact — in a failure-free
+    round every receiver hears every broadcaster and the round builds
+    one bucket set.  Rounds whose receivers consume only masks (the
+    batched Phase-1 plane) never trigger the build at all.
     """
 
-    __slots__ = ("plan", "table", "mask", "_built")
+    __slots__ = ("table", "mask", "_built")
 
-    def __init__(
-        self, plan: Sequence[ProcessId], table: "SendTable", mask: int
-    ) -> None:
-        self.plan = plan
+    def __init__(self, table: "SendTable", mask: int) -> None:
         self.table = table
         self.mask = mask
         self._built: tuple | None = None
 
     def built(self) -> tuple:
-        """The group's ``(current, by_tag, decides, mask)``, built once."""
+        """The cell's ``(current, by_tag, decides, mask)``, built once."""
         built = self._built
         if built is None:
-            table = self.table
-            if self.mask == table.sender_mask:
-                built = table.full_buckets()
-            else:
-                built = build_current_buckets(self.plan, table, self.mask)
-            self._built = built
+            built = self._built = build_current_buckets(self.mask, self.table)
         return built
 
 
@@ -468,10 +456,9 @@ class SendTable:
     every process that actually broadcast, the interned ``(sender,
     payload)`` item and the payload tag; plus three round-level facts
     the bucket builders use for their fast paths — the broadcaster
-    bitmask (and its interned frozenset), whether the whole round
-    carries a single tag, and whether any broadcast is a DECIDE
-    announcement.  All of it is a pure function of the round's sends, so
-    every receiver shares one table.
+    bitmask, whether the whole round carries a single tag, and whether
+    any broadcast is a DECIDE announcement.  All of it is a pure
+    function of the round's sends, so every receiver shares one table.
 
     The table is a preallocated per-run buffer: the kernel allocates one
     per execution and calls :meth:`reset` between rounds, which clears
@@ -480,23 +467,21 @@ class SendTable:
     """
 
     __slots__ = (
-        "items", "tags", "is_decide", "count", "sender_mask", "senders",
-        "single_tag", "has_decides", "_full_buckets",
+        "items", "tags", "is_decide", "sender_mask", "single_tag",
+        "has_decides",
     )
 
     def __init__(self, n: int):
         self.items: list = [None] * n      # (sender, payload) or None
         self.tags: list = [None] * n       # payload tag, for senders
         self.is_decide: list = [False] * n
-        self.count = 0                      # number of broadcasters
         self.sender_mask = 0                # broadcasters as a bitmask
-        self.senders: frozenset = interned_set(0)
         self.single_tag = None              # the round's tag, if unique
         self.has_decides = False
-        self._full_buckets: tuple | None = None
 
     def record(self, sender: ProcessId, payload: Payload) -> None:
         """Note that *sender* broadcast *payload* this round."""
+        first = not self.sender_mask
         self.items[sender] = (sender, payload)
         self.sender_mask |= 1 << sender
         if isinstance(payload, tuple) and payload:
@@ -507,95 +492,45 @@ class SendTable:
         else:
             tag = payload
         self.tags[sender] = tag
-        if self.count == 0:
+        if first:
             self.single_tag = tag
         elif tag != self.single_tag:
             self.single_tag = None
-        self.count += 1
-
-    def seal(self) -> None:
-        """Finalize after the send phase (interns the sender set)."""
-        self.senders = interned_set(self.sender_mask)
-
-    def full_buckets(self) -> tuple:
-        """The complete-hearing bucket set ``(current, by_tag, decides,
-        sender_mask)`` — what :func:`build_current_buckets` returns for
-        any plan whose surviving senders are *all* of this round's
-        broadcasters.  Built once per round, shared by every such group
-        (see :class:`CurrentCell`)."""
-        built = self._full_buckets
-        if built is None:
-            senders = []
-            mask = self.sender_mask
-            while mask:
-                low = mask & -mask
-                senders.append(low.bit_length() - 1)
-                mask ^= low
-            built = self._full_buckets = build_current_buckets(
-                senders, self, self.sender_mask
-            )
-        return built
 
     def reset(self) -> None:
         """Clear for the next round, touching only last round's slots."""
-        mask = self.sender_mask
-        if mask:
-            items = self.items
-            tags = self.tags
-            is_decide = self.is_decide
-            while mask:
-                low = mask & -mask
-                sender = low.bit_length() - 1
-                items[sender] = None
-                tags[sender] = None
-                is_decide[sender] = False
-                mask ^= low
-        self.count = 0
+        items = self.items
+        tags = self.tags
+        is_decide = self.is_decide
+        for sender in iter_bits(self.sender_mask):
+            items[sender] = None
+            tags[sender] = None
+            is_decide[sender] = False
         self.sender_mask = 0
-        self.senders = interned_set(0)
         self.single_tag = None
         self.has_decides = False
-        self._full_buckets = None
 
 
-def build_current_buckets(
-    current_plan: Sequence[ProcessId],
-    table: SendTable,
-    known_mask: int | None = None,
-) -> tuple:
-    """One current-group's shared buckets: ``(current, by_tag, decides,
+def build_current_buckets(mask: int, table: SendTable) -> tuple:
+    """One arrived-sender mask's buckets: ``(current, by_tag, decides,
     current_mask)``.
 
-    *current_plan* is the compiled ascending sender list for one
-    receiver group; senders that never broadcast (halted) drop out via
-    the table.  The sender set travels as a bitmask — the
-    :class:`RoundView` interns the frozenset only on demand; callers
-    that already hold the surviving-sender mask (the kernel's
-    :class:`CurrentCell` computes it in O(1) from the compiled plan
-    mask) pass it as *known_mask* to skip the recomputation.  The
-    common round shape — every broadcast carries the same tag, none of
-    them a DECIDE — collapses to a single filtered copy of the table's
-    items; mixed rounds (coordinator phases, decide announcements) take
-    the general partitioning path.
+    *mask* is a receiver's arrived-sender mask: its compiled
+    current-round sender mask ANDed with the table's broadcaster mask,
+    so every bit names a filled slot.  The sender set travels on as a
+    bitmask — the :class:`RoundView` interns the frozenset only on
+    demand.  The common round shape — every broadcast carries the same
+    tag, none of them a DECIDE — collapses to a single copy of the
+    table's items; mixed rounds (coordinator phases, decide
+    announcements) take the general partitioning path.
     """
-    items = table.items
-    current = [
-        item for s in current_plan if (item := items[s]) is not None
-    ]
-    if not current:
+    if not mask:
         return ((), {}, (), 0)
-    current = tuple(current)
-    if known_mask is not None:
-        sender_mask = known_mask
-    elif len(current) == table.count:
-        sender_mask = table.sender_mask
-    else:
-        sender_mask = 0
-        for item in current:
-            sender_mask |= 1 << item[0]
+    items = table.items
+    current = tuple([items[sender] for sender in iter_bits(mask)])
     single_tag = table.single_tag
     if single_tag is not None and not table.has_decides:
-        return (current, {single_tag: current}, (), sender_mask)
+        return (current, {single_tag: current}, (), mask)
     tags = table.tags
     is_decide = table.is_decide
     by_tag: dict = {}
@@ -614,7 +549,7 @@ def build_current_buckets(
         current,
         {tag: tuple(bucket) for tag, bucket in by_tag.items()},
         tuple(decides),
-        sender_mask,
+        mask,
     )
 
 

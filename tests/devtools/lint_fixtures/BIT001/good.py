@@ -3,7 +3,7 @@
 module-level one-shot constants stay allowed."""
 from repro.sim.bitset import interned_set, mask_of
 
-_EMPTY_PIDS = frozenset()
+_NO_PIDS = frozenset()
 
 
 def finish_round(halted_this_round):

@@ -11,8 +11,9 @@ tests pin that down three ways:
   kernels;
 * the lean trace mode must yield identical decisions and identical
   metrics (``summarize``, consensus checks, message counts);
-* the compiled plan itself must be canonical (sorted inboxes, memoized
-  per schedule) and must never leak into pickles.
+* the compiled plan itself must agree with the schedule's point
+  queries on every grid kind, be canonical (sorted delayed pairs,
+  memoized per schedule) and never leak into pickles.
 """
 
 import pickle
@@ -26,6 +27,7 @@ from repro.analysis.metrics import check_consensus, summarize
 from repro.engine.grids import build_schedule, family
 from repro.errors import SimulationError
 from repro.model.schedule import Schedule, ScheduleBuilder
+from repro.sim.bitset import interned_set, iter_bits, mask_of
 from repro.sim.compiled import compile_schedule
 from repro.sim.kernel import execute, execute_reference, run_algorithm
 from repro.sim.random_schedules import (
@@ -92,6 +94,32 @@ def _generators_for(name: str):
         _grid_generator(kind, params)
         for kind, params in _SCS_KINDS + _ES_KINDS
     ] + [random_es_lossy]
+
+
+def _assert_round_matches(schedule, plan, k, label):
+    n = schedule.n
+    assert plan.sender_masks[k] == mask_of(
+        pid for pid in range(n) if schedule.sends_in_round(pid, k)
+    ), label
+    assert plan.completer_masks[k] == mask_of(
+        pid for pid in range(n) if schedule.completes_round(pid, k)
+    ), label
+    crashed = plan.sender_masks[k] & ~plan.completer_masks[k]
+    assert interned_set(crashed) == schedule.crashed_in(k), label
+    for receiver in range(n):
+        delayed = plan.delayed_inboxes[k][receiver]
+        current = plan.current_masks[k][receiver]
+        if not schedule.completes_round(receiver, k):
+            # Never received, so never planned.
+            assert (delayed, current) == ((), 0), label
+            continue
+        assert list(delayed) == sorted(delayed), label
+        assert all(sent < k for sent, _sender in delayed), label
+        merged = set(delayed) | {(k, s) for s in iter_bits(current)}
+        assert merged == {
+            (sent, sender)
+            for sender, sent in schedule.deliveries_to(receiver, k)
+        }, label
 
 
 class TestCompiledMatchesReference:
@@ -275,32 +303,19 @@ class TestCompiledPlan:
         schedule = random_es_schedule(5, 2, 7)
         assert compile_schedule(schedule) is compile_schedule(schedule)
 
-    def test_inboxes_are_canonically_sorted(self):
-        schedule = random_es_schedule(6, 2, 11, horizon=10)
-        plan = compile_schedule(schedule)
-        for k in range(1, plan.horizon + 1):
-            for receiver in range(plan.n):
-                entries = plan.inboxes[k][receiver]
-                assert list(entries) == sorted(entries)
-
-    def test_plan_matches_schedule_queries(self):
-        schedule = random_es_schedule(5, 2, 13, horizon=10)
-        plan = compile_schedule(schedule)
-        for k in range(1, schedule.horizon + 1):
-            assert plan.senders[k] == tuple(
-                pid for pid in range(5) if schedule.sends_in_round(pid, k)
-            )
-            assert plan.completers[k] == tuple(
-                pid for pid in range(5) if schedule.completes_round(pid, k)
-            )
-            assert plan.crashed[k] == schedule.crashed_in(k)
-            for receiver in range(5):
-                if not schedule.completes_round(receiver, k):
-                    continue
-                assert set(plan.inboxes[k][receiver]) == {
-                    (sent, sender)
-                    for sender, sent in schedule.deliveries_to(receiver, k)
-                }
+    @pytest.mark.parametrize(
+        "generator", _generators_for("att2"), ids=lambda g: g.__name__
+    )
+    def test_plan_matches_schedule_queries(self, generator):
+        # Every grid kind (losses included) against the declarative
+        # schedule's point queries, round by round.
+        for n, t in ((5, 2), (7, 2)):
+            for seed in SEEDS[:10]:
+                schedule = generator(n, t, seed)
+                plan = compile_schedule(schedule)
+                label = f"{generator.__name__}(n={n}, seed={seed})"
+                for k in range(1, plan.horizon + 1):
+                    _assert_round_matches(schedule, plan, k, label)
 
     def test_compile_seeds_the_sync_from_memo(self):
         schedule = random_es_schedule(5, 2, 17, horizon=10)

@@ -6,8 +6,8 @@ separate, DECIDE payloads collected across both in message order, and
 lazily materialized flat messages identical to what the old kernel
 delivered.  Plus the two compatibility guarantees: an automaton that
 only implements the legacy ``deliver`` runs unchanged through the
-base-class shim, and the compiled plan's sharing groups never mix
-receivers with different delivery plans.
+base-class shim, and the kernel's bucket sharing never mixes
+receivers with different deliveries.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.model.schedule import Schedule, ScheduleBuilder
 from repro.sim.compiled import compile_schedule
 from repro.sim.kernel import execute, execute_reference
 from repro.sim.random_schedules import random_es_schedule
+from repro.sim import view as view_module
 from repro.sim.view import RoundView, all_pids
 
 
@@ -240,49 +241,83 @@ class TestLegacyShim:
         assert automaton.rounds_seen == [(2, 1)]
 
 
+class _ViewRecorder(Automaton):
+    """Keeps each round's kernel-built view; the last pid halts after
+    round 1."""
+
+    def __init__(self, pid, n, t, proposal):
+        super().__init__(pid, n, t, proposal)
+        self.views = {}
+
+    def payload(self, k):
+        return ("VR", k)
+
+    def deliver_view(self, k, view):
+        # Materialize inside the round: the send table the lazy buckets
+        # build from is reset once the round ends.
+        view.current
+        self.views[k] = view
+        if self.pid == self.n - 1:
+            self._halt()
+
+
 class TestPlanSharingGroups:
     def test_groups_partition_by_plan_equality(self):
         schedule = random_es_schedule(6, 2, seed=11, horizon=10)
         plan = compile_schedule(schedule)
         for k in range(1, plan.horizon + 1):
             for receiver in range(plan.n):
-                crep = plan.current_groups[k][receiver]
                 drep = plan.delayed_groups[k][receiver]
-                assert crep <= receiver and drep <= receiver
-                assert (
-                    plan.current_senders[k][crep]
-                    == plan.current_senders[k][receiver]
-                )
+                assert drep <= receiver
                 assert (
                     plan.delayed_inboxes[k][drep]
                     == plan.delayed_inboxes[k][receiver]
                 )
 
-    def test_failure_free_rounds_share_one_current_group(self):
-        plan = compile_schedule(Schedule.failure_free(5, 2, 6))
-        for k in range(1, plan.horizon + 1):
-            assert set(plan.current_groups[k]) == {0}
-            assert set(plan.delayed_groups[k]) == {0}
-
-    def test_split_inboxes_match_schedule_queries(self):
-        # The split halves against the declarative schedule directly
-        # (not via the derived `inboxes` property, which merges them).
-        schedule = random_es_schedule(6, 2, seed=23, horizon=10)
+    def test_failure_free_round_builds_one_current_bucket_set(
+        self, monkeypatch
+    ):
+        schedule = Schedule.failure_free(5, 2, 3)
         plan = compile_schedule(schedule)
         for k in range(1, plan.horizon + 1):
-            for receiver in range(plan.n):
-                if not schedule.completes_round(receiver, k):
-                    continue
-                expected = {
-                    (sent, sender)
-                    for sender, sent in schedule.deliveries_to(receiver, k)
-                }
-                delayed = plan.delayed_inboxes[k][receiver]
-                current = plan.current_senders[k][receiver]
-                assert all(sent < k for sent, _sender in delayed)
-                assert list(current) == sorted(current)
-                merged = set(delayed) | {(k, s) for s in current}
-                assert merged == expected
+            assert set(plan.delayed_groups[k]) == {0}
+        builds = []
+        real_build = view_module.build_current_buckets
+
+        def counting_build(mask, table):
+            builds.append(mask)
+            return real_build(mask, table)
+
+        monkeypatch.setattr(
+            view_module, "build_current_buckets", counting_build
+        )
+        automata = [_ViewRecorder(pid, 5, 2, 0) for pid in range(5)]
+        execute(automata, schedule, trace="lean")
+        # Round 1: all five hear all five; rounds 2-3: p4 has halted and
+        # the rest hear the four live broadcasters.  One build per round.
+        assert builds == [0b11111, 0b01111, 0b01111]
+        for k in (1, 2, 3):
+            views = [a.views[k] for a in automata if k in a.views]
+            assert len(views) == (5 if k == 1 else 4)
+            assert all(v.current is views[0].current for v in views)
+
+    def test_receivers_differing_only_in_a_halted_sender_share(self):
+        # Round 2: p3 halted in round 1; p2's messages to p0 and p1 are
+        # delayed, and so is p3's (unsent) one to p1.  The compiled masks
+        # of p0 and p1 differ only in p3, so both arrive as {p0, p1} —
+        # fewer than the round's broadcasters — and share one bucket set.
+        schedule = Schedule(
+            n=4, t=1, horizon=3,
+            delays={(2, 0, 2): 3, (2, 1, 2): 3, (3, 1, 2): 3},
+        )
+        plan = compile_schedule(schedule)
+        masks = plan.current_masks[2]
+        assert masks[0] ^ masks[1] == 1 << 3
+        automata = [_ViewRecorder(pid, 4, 1, 0) for pid in range(4)]
+        execute(automata, schedule, trace="lean")
+        view_a, view_b = automata[0].views[2], automata[1].views[2]
+        assert view_a.current is view_b.current
+        assert view_a.current == ((0, ("VR", 2)), (1, ("VR", 2)))
 
 
 class TestViewKernelEquivalence:
