@@ -104,11 +104,24 @@ def _bench_schedules(n: int, t: int):
 
 
 def _uncached_sync_from(schedule: Schedule) -> int:
-    """The pre-refactor synchrony scan, bypassing the sync_from memo."""
+    """The pre-refactor synchrony scan, bypassing the sync_from memo and
+    the late-sender index: every sender x receiver pair through
+    ``delivery_round``, round by round."""
     first_bad = 0
     for k in range(1, schedule.horizon + 1):
-        if not schedule.is_synchronous_round(k):
-            first_bad = k
+        for sender in schedule.processes:
+            if schedule.crash_round(sender) == k or not (
+                schedule.sends_in_round(sender, k)
+            ):
+                continue
+            if any(
+                receiver != sender
+                and schedule.completes_round(receiver, k)
+                and schedule.delivery_round(sender, receiver, k) != k
+                for receiver in schedule.processes
+            ):
+                first_bad = k
+                break
     return first_bad + 1
 
 

@@ -14,10 +14,11 @@ def same_round_senders(
     Includes the receiver itself (self-delivery is immediate).  This is
     the set whose complement the receiver *suspects* in round k.
     """
+    late = schedule.late_senders(k).get(receiver, 0)
     return frozenset(
         sender
         for sender in schedule.processes
-        if schedule.delivery_round(sender, receiver, k) == k
+        if schedule.sends_in_round(sender, k) and not late >> sender & 1
     )
 
 
@@ -32,7 +33,3 @@ def suspected_by(
     """
     received_from = same_round_senders(schedule, receiver, k)
     return frozenset(schedule.processes) - received_from
-
-
-def crash_count(schedule: Schedule) -> int:
-    return len(schedule.crashes)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
+from itertools import chain
 from typing import Iterable, Mapping
 
 from repro.errors import ScheduleError
@@ -73,9 +74,10 @@ class CrashSpec:
     def delayed_delivery(self, receiver: ProcessId) -> Round | None:
         """Delivery round of the crash-round message to *receiver*, if delayed.
 
-        Backed by a lazily-built ``receiver -> round`` mapping (validators
-        and the schedule compiler ask this once per sender×receiver pair,
-        so a linear scan over ``delayed`` turns quadratic at large n).
+        Backed by a lazily-built ``receiver -> round`` mapping: the
+        schedule's late-sender index asks this once per receiver of every
+        crash-round message, so a linear scan over ``delayed`` turns
+        quadratic at large n.
         The mapping is cached on the instance and rebuilt on demand after
         unpickling (:meth:`__getstate__` strips caches).
         """
@@ -207,6 +209,42 @@ class Schedule:
 
     # -- synchrony classification ----------------------------------------
 
+    def late_senders(self, k: Round) -> Mapping[ProcessId, int]:
+        """Per receiver, the mask of round-k senders delayed or lost to it.
+
+        Only crash-round messages and ``delays``/``losses`` keys can miss
+        their round; the index resolves exactly those through
+        :meth:`delivery_round`, the one home of the precedence rules.
+        Receivers with no late sender are absent.  Memoized per instance.
+        """
+        index = self.__dict__.get("_late_index")
+        if index is None:
+            index = {}
+            # One int per sender, shared by every single-sender row.
+            bits = [1 << pid for pid in self.processes]
+            crash_round_triples = (
+                (pid, receiver, spec.round)
+                for pid, spec in self.crashes.items()
+                for receiver in self.processes
+            )
+            candidates = chain(crash_round_triples, self.delays, self.losses)
+            for sender, receiver, sent in candidates:
+                if (
+                    sender == receiver
+                    or sender not in self.processes
+                    or receiver not in self.processes
+                    or not self.sends_in_round(sender, sent)
+                    or self.delivery_round(sender, receiver, sent) == sent
+                ):
+                    continue
+                row = index.setdefault(sent, {})
+                late = row.get(receiver)
+                row[receiver] = (
+                    bits[sender] if late is None else late | bits[sender]
+                )
+            object.__setattr__(self, "_late_index", index)
+        return index.get(k, {})
+
     def is_synchronous_round(self, k: Round) -> bool:
         """True iff every round-k message from a non-crashing sender arrives in round k.
 
@@ -214,29 +252,22 @@ class Schedule:
         (paper, footnote 5).  Messages to receivers that do not complete
         round k are ignored.
         """
-        for sender in self.processes:
-            if not self.sends_in_round(sender, k):
-                continue
-            if self.crash_round(sender) == k:
-                continue
-            for receiver in self.processes:
-                if receiver == sender:
-                    continue
-                if not self.completes_round(receiver, k):
-                    continue
-                if self.delivery_round(sender, receiver, k) != k:
-                    return False
-        return True
+        crashing = sum(
+            1 << pid for pid in self.crashed_in(k) if pid in self.processes
+        )
+        return not any(
+            late & ~crashing
+            for receiver, late in self.late_senders(k).items()
+            if self.completes_round(receiver, k)
+        )
 
     def sync_from(self) -> Round:
         """Smallest K such that every round >= K is synchronous.
 
         A fully synchronous schedule returns 1.  Scans down from the
         horizon; the result is the paper's (unknown-to-the-algorithm) K.
-        Memoized per instance (the scan is O(n² · horizon) and record
-        production asks for K once per case); the schedule compiler
-        (:mod:`repro.sim.compiled`) pre-seeds the cache as a by-product
-        of its delivery sweep.
+        Memoized per instance: record production asks for K once per
+        case.
         """
         cached = self.__dict__.get("_sync_from_cache")
         if cached is not None:
@@ -250,9 +281,7 @@ class Schedule:
 
     def is_synchronous_run(self) -> bool:
         """True iff the run is synchronous (K = 1)."""
-        return all(
-            self.is_synchronous_round(k) for k in range(1, self.horizon + 1)
-        )
+        return self.sync_from() == 1
 
     def is_serial_run(self) -> bool:
         """True iff synchronous, at most one crash per round, at most t total."""
@@ -328,10 +357,10 @@ class Schedule:
     def __getstate__(self) -> dict:
         """Pickle only the dataclass fields, never the lazy caches.
 
-        Schedules memoize their digest, synchrony round and compiled
-        execution plan (:mod:`repro.sim.compiled`) on the instance; the
-        plan in particular is O(n² · horizon) and would dominate every
-        case pickled to a process-pool worker.  Workers recompute the
+        Schedules memoize their digest, late-sender index, synchrony
+        round and compiled execution plan (:mod:`repro.sim.compiled`) on
+        the instance; the plan in particular is O(n² · horizon) and would
+        dominate every case pickled to a process-pool worker.  Workers recompute the
         caches on first use.
         """
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}

@@ -36,15 +36,12 @@ automata produce — remains for the kernel's hot loop, whose per-round
 cost drops from O(n²) schedule method calls to a few mask operations
 and plain tuple indexing.
 
-Compilation costs one O(n² · horizon) sweep — the same work as a single
-reference execution's bookkeeping — and is memoized on the schedule
-instance, so a grid running A algorithms against one schedule compiles
-once and executes A times.  As a by-product the sweep also computes the
-schedule's synchrony round K, pre-seeding the
-:meth:`~repro.model.schedule.Schedule.sync_from` cache that record
-production reads.  The memo is stripped from pickles
-(:meth:`~repro.model.schedule.Schedule.__getstate__`), so process-pool
-workers receive lean schedules and recompile locally.
+Compilation reads which messages miss their round from
+:meth:`~repro.model.schedule.Schedule.late_senders`; only those go
+through ``delivery_round``.  The plan is memoized on the schedule
+instance (a grid running A algorithms against one schedule compiles
+once) and stripped from pickles, so process-pool workers receive lean
+schedules and recompile locally.
 """
 
 from __future__ import annotations
@@ -108,15 +105,10 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
 
     sender_masks: list[int] = [0]
     completer_masks: list[int] = [0]
-    current: list[list[int]] = [[0] * n for _ in range(horizon + 1)]
+    current_masks: list[tuple[int, ...]] = [()]
     # (delivery round, receiver) -> earlier-round (sent_round, sender)
     # pairs; current-round deliveries go straight into the masks.
     delayed: dict[tuple[Round, ProcessId], list] = {}
-    # sync_ok[k] goes False when round k violates the synchrony condition
-    # (a non-crash-round message to a completing receiver not arriving in
-    # its sending round) — the same predicate as
-    # Schedule.is_synchronous_round, folded into this sweep for free.
-    sync_ok = [True] * (horizon + 1)
 
     # Crash rounds bucketed once, as masks: a round without an entry
     # crashes nobody, so its completers are its senders.
@@ -133,37 +125,29 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
 
     delivery_round = schedule.delivery_round
     for k in range(1, horizon + 1):
-        round_senders = iter_bits(live_mask)
-        sender_masks.append(live_mask)
+        senders = live_mask
+        sender_masks.append(senders)
         live_mask &= ~crashes_in.get(k, 0)
         completer_masks.append(live_mask)
-        round_current = current[k]
-        for sender in round_senders:
-            sender_crashes_now = crash_at[sender] == k
-            bit = 1 << sender
-            for receiver in range(n):
+        # A completer hears every sender of the round except its late
+        # ones (rows without late senders share the round's mask); a
+        # receiver that does not complete the round hears none.
+        row = [senders if live_mask >> pid & 1 else 0 for pid in range(n)]
+        for receiver, late_mask in schedule.late_senders(k).items():
+            row[receiver] &= ~late_mask
+            for sender in iter_bits(late_mask):
                 delivery = delivery_round(sender, receiver, k)
-                if (
-                    not sender_crashes_now
-                    and receiver != sender
-                    and crash_at[receiver] > k
-                    and delivery != k
-                ):
-                    sync_ok[k] = False
                 if delivery is None or delivery > horizon:
                     continue
                 if crash_at[receiver] <= delivery:
                     # The receiver leaves the computation before the
                     # delivery round; the message can never be received.
                     continue
-                if delivery == k:
-                    round_current[receiver] |= bit
-                else:
-                    delayed.setdefault((delivery, receiver), []).append(
-                        (k, sender)
-                    )
+                delayed.setdefault((delivery, receiver), []).append(
+                    (k, sender)
+                )
+        current_masks.append(tuple(row))
 
-    current_masks: list[tuple[int, ...]] = [()]
     delayed_inboxes: list[tuple] = [()]
     delayed_groups: list[tuple] = [()]
     for k in range(1, horizon + 1):
@@ -174,16 +158,8 @@ def _compile(schedule: Schedule) -> CompiledSchedule:
             pairs = tuple(sorted(delayed.get((k, receiver), ())))
             round_delayed.append(pairs)
             round_dgroups.append(dgroup_reps.setdefault(pairs, receiver))
-        current_masks.append(tuple(current[k]))
         delayed_inboxes.append(tuple(round_delayed))
         delayed_groups.append(tuple(round_dgroups))
-
-    if schedule.__dict__.get("_sync_from_cache") is None:
-        first_bad = 0
-        for k in range(1, horizon + 1):
-            if not sync_ok[k]:
-                first_bad = k
-        object.__setattr__(schedule, "_sync_from_cache", first_bad + 1)
 
     return CompiledSchedule(
         schedule=schedule,

@@ -13,11 +13,14 @@ tests pin that down three ways:
   metrics (``summarize``, consensus checks, message counts);
 * the compiled plan itself must agree with the schedule's point
   queries on every grid kind, be canonical (sorted delayed pairs,
-  memoized per schedule) and never leak into pickles.
+  memoized per schedule) and never leak into pickles, and it must equal
+  the dense per-pair sweep it replaced — as must the synchrony
+  predicate and ``same_round_senders`` — kept here as the oracle.
 """
 
 import pickle
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -26,14 +29,17 @@ from repro.algorithms.registry import available_algorithms, get_factory
 from repro.analysis.metrics import check_consensus, summarize
 from repro.engine.grids import build_schedule, family
 from repro.errors import SimulationError
-from repro.model.schedule import Schedule, ScheduleBuilder
+from repro.lowerbound.model_check import AdversaryBudget, _schedules
+from repro.model.constraints import same_round_senders
+from repro.model.schedule import CrashSpec, Schedule, ScheduleBuilder
 from repro.sim.bitset import interned_set, iter_bits, mask_of
-from repro.sim.compiled import compile_schedule
+from repro.sim.compiled import CompiledSchedule, compile_schedule
 from repro.sim.kernel import execute, execute_reference, run_algorithm
 from repro.sim.random_schedules import (
     random_es_schedule,
     random_proposals,
 )
+from repro.types import ProcessId, Round
 
 SEEDS = range(25)
 
@@ -317,17 +323,6 @@ class TestCompiledPlan:
                 for k in range(1, plan.horizon + 1):
                     _assert_round_matches(schedule, plan, k, label)
 
-    def test_compile_seeds_the_sync_from_memo(self):
-        schedule = random_es_schedule(5, 2, 17, horizon=10)
-        expected = Schedule(
-            n=schedule.n, t=schedule.t, horizon=schedule.horizon,
-            crashes=dict(schedule.crashes), delays=dict(schedule.delays),
-            losses=schedule.losses,
-        ).sync_from()  # computed the slow way on an uncompiled twin
-        compile_schedule(schedule)
-        assert schedule.__dict__.get("_sync_from_cache") == expected
-        assert schedule.sync_from() == expected
-
     def test_caches_never_pickled(self):
         schedule = random_es_schedule(5, 2, 19)
         compile_schedule(schedule)
@@ -338,6 +333,11 @@ class TestCompiledPlan:
         assert "_compiled_cache" not in clone.__dict__
         assert "_digest_cache" not in clone.__dict__
         assert "_sync_from_cache" not in clone.__dict__
+        assert "_late_index" not in clone.__dict__
+        # the clone rebuilds an equal late-sender index on demand
+        for k in range(1, schedule.horizon + 1):
+            assert clone.late_senders(k) == schedule.late_senders(k)
+        assert clone.__dict__["_late_index"] == schedule.__dict__["_late_index"]
         # and the clone still works end to end
         factory = get_factory("att2")
         assert run_algorithm(
@@ -359,6 +359,300 @@ class TestCompiledPlan:
         # survives pickling (the lazy map is rebuilt on demand)
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone.crashes[0].delayed_delivery(2) == 4
+
+
+# -- the dense oracles ---------------------------------------------------
+#
+# The schedule compiler and the synchrony predicate read which messages
+# miss their round from Schedule.late_senders.  Before that index they
+# swept every sender x receiver pair through delivery_round; those dense
+# sweeps are kept here, as they were, as the oracles the index-backed
+# code must equal.
+
+
+def _dense_compile(schedule: Schedule) -> CompiledSchedule:
+    n = schedule.n
+    horizon = schedule.horizon
+    crash_round = [schedule.crash_round(pid) for pid in range(n)]
+    never = horizon + 1
+    crash_at = [never if r is None else r for r in crash_round]
+
+    sender_masks: list[int] = [0]
+    completer_masks: list[int] = [0]
+    current: list[list[int]] = [[0] * n for _ in range(horizon + 1)]
+    # (delivery round, receiver) -> earlier-round (sent_round, sender)
+    # pairs; current-round deliveries go straight into the masks.
+    delayed: dict[tuple[Round, ProcessId], list] = {}
+    # sync_ok[k] goes False when round k violates the synchrony condition
+    # (a non-crash-round message to a completing receiver not arriving in
+    # its sending round) — the same predicate as
+    # Schedule.is_synchronous_round, folded into this sweep for free.
+    sync_ok = [True] * (horizon + 1)
+
+    # Crash rounds bucketed once, as masks: a round without an entry
+    # crashes nobody, so its completers are its senders.
+    crashes_in: dict[Round, int] = {}
+    for pid in range(n):
+        k = crash_at[pid]
+        if k <= horizon:
+            crashes_in[k] = crashes_in.get(k, 0) | 1 << pid
+
+    # Live at the start of round 1: everyone whose crash round is >= 1
+    # (i.e. everyone — crash rounds are 1-based — unless a degenerate
+    # schedule crashes a process before the run starts).
+    live_mask = mask_of(pid for pid in range(n) if crash_at[pid] >= 1)
+
+    delivery_round = schedule.delivery_round
+    for k in range(1, horizon + 1):
+        round_senders = iter_bits(live_mask)
+        sender_masks.append(live_mask)
+        live_mask &= ~crashes_in.get(k, 0)
+        completer_masks.append(live_mask)
+        round_current = current[k]
+        for sender in round_senders:
+            sender_crashes_now = crash_at[sender] == k
+            bit = 1 << sender
+            for receiver in range(n):
+                delivery = delivery_round(sender, receiver, k)
+                if (
+                    not sender_crashes_now
+                    and receiver != sender
+                    and crash_at[receiver] > k
+                    and delivery != k
+                ):
+                    sync_ok[k] = False
+                if delivery is None or delivery > horizon:
+                    continue
+                if crash_at[receiver] <= delivery:
+                    # The receiver leaves the computation before the
+                    # delivery round; the message can never be received.
+                    continue
+                if delivery == k:
+                    round_current[receiver] |= bit
+                else:
+                    delayed.setdefault((delivery, receiver), []).append(
+                        (k, sender)
+                    )
+
+    current_masks: list[tuple[int, ...]] = [()]
+    delayed_inboxes: list[tuple] = [()]
+    delayed_groups: list[tuple] = [()]
+    for k in range(1, horizon + 1):
+        round_delayed = []
+        round_dgroups = []
+        dgroup_reps: dict[tuple, ProcessId] = {}
+        for receiver in range(n):
+            pairs = tuple(sorted(delayed.get((k, receiver), ())))
+            round_delayed.append(pairs)
+            round_dgroups.append(dgroup_reps.setdefault(pairs, receiver))
+        current_masks.append(tuple(current[k]))
+        delayed_inboxes.append(tuple(round_delayed))
+        delayed_groups.append(tuple(round_dgroups))
+
+    if schedule.__dict__.get("_sync_from_cache") is None:
+        first_bad = 0
+        for k in range(1, horizon + 1):
+            if not sync_ok[k]:
+                first_bad = k
+        object.__setattr__(schedule, "_sync_from_cache", first_bad + 1)
+
+    return CompiledSchedule(
+        schedule=schedule,
+        n=n,
+        horizon=horizon,
+        sender_masks=tuple(sender_masks),
+        completer_masks=tuple(completer_masks),
+        current_masks=tuple(current_masks),
+        delayed_inboxes=tuple(delayed_inboxes),
+        delayed_groups=tuple(delayed_groups),
+    )
+
+
+def _dense_is_synchronous_round(self: Schedule, k: Round) -> bool:
+    for sender in self.processes:
+        if not self.sends_in_round(sender, k):
+            continue
+        if self.crash_round(sender) == k:
+            continue
+        for receiver in self.processes:
+            if receiver == sender:
+                continue
+            if not self.completes_round(receiver, k):
+                continue
+            if self.delivery_round(sender, receiver, k) != k:
+                return False
+    return True
+
+
+def _dense_sync_from(self: Schedule) -> Round:
+    first_bad = 0
+    for k in range(1, self.horizon + 1):
+        if not _dense_is_synchronous_round(self, k):
+            first_bad = k
+    return first_bad + 1
+
+
+def _dense_is_synchronous_run(self: Schedule) -> bool:
+    return all(
+        _dense_is_synchronous_round(self, k)
+        for k in range(1, self.horizon + 1)
+    )
+
+
+def _dense_same_round_senders(
+    schedule: Schedule, receiver: ProcessId, k: Round
+) -> frozenset[ProcessId]:
+    return frozenset(
+        sender
+        for sender in schedule.processes
+        if schedule.delivery_round(sender, receiver, k) == k
+    )
+
+
+_PLAN_FIELDS = tuple(
+    f.name for f in fields(CompiledSchedule) if f.name != "schedule"
+)
+
+
+def _assert_matches_dense_oracle(schedule: Schedule, label: str) -> None:
+    # Each side gets its own cache-free twin, so no memo leaks across.
+    oracle_twin, scan_twin = replace(schedule), replace(schedule)
+    expected = _dense_compile(oracle_twin)
+    plan = compile_schedule(replace(schedule))
+    for name in _PLAN_FIELDS:
+        assert getattr(plan, name) == getattr(expected, name), (label, name)
+    sync_from = _dense_sync_from(scan_twin)
+    assert oracle_twin.sync_from() == sync_from, label
+    assert schedule.sync_from() == sync_from, label
+    assert schedule.is_synchronous_run() == _dense_is_synchronous_run(
+        scan_twin
+    ), label
+    for k in range(0, schedule.horizon + 3):
+        assert schedule.is_synchronous_round(
+            k
+        ) == _dense_is_synchronous_round(scan_twin, k), (label, k)
+        for receiver in range(schedule.n):
+            assert same_round_senders(
+                schedule, receiver, k
+            ) == _dense_same_round_senders(scan_twin, receiver, k), (
+                label, receiver, k,
+            )
+
+
+def _malformed_schedule(seed: int) -> Schedule:
+    """A seeded schedule built directly, bypassing ScheduleBuilder.
+
+    It mixes in what the builder would reject and the dense sweeps
+    still had to resolve: pids outside ``range(n)`` (negative ones
+    too), delays and losses keyed at or after the sender's crash round,
+    a loss and a delay on one triple, delay targets at or before the
+    sent round, crash rounds and deliveries past the horizon, and a
+    crasher inside its own same-round set.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    horizon = rng.randint(1, 6)
+    pids = range(-2, n + 2)
+    crashes = {}
+    for pid in rng.sample(pids, rng.randint(0, 3)):
+        round_ = rng.randint(1, horizon + 2)
+        delivered = frozenset(
+            p for p in pids if rng.random() < 0.4
+        ) | ({pid} if rng.random() < 0.3 else frozenset())
+        delayed = tuple(
+            (receiver, rng.randint(round_ + 1, horizon + 3))
+            for receiver in pids
+            if receiver not in delivered and rng.random() < 0.3
+        )
+        crashes[pid] = CrashSpec(round_, delivered, delayed)
+    delays = {}
+    for _ in range(rng.randint(0, 10)):
+        sent = rng.randint(0, horizon + 1)
+        key = (rng.choice(pids), rng.choice(pids), sent)
+        delays[key] = rng.randint(sent - 2, horizon + 2)
+    for pid, spec in crashes.items():
+        # Keyed at and after the crash round, where the spec or the
+        # crash itself takes precedence.
+        for sent in (spec.round, spec.round + 1):
+            delays[(pid, rng.choice(pids), sent)] = sent + 1
+    losses = {
+        (rng.choice(pids), rng.choice(pids), rng.randint(0, horizon + 1))
+        for _ in range(rng.randint(0, 6))
+    }
+    losses.update(key for key in delays if rng.random() < 0.3)
+    return Schedule(
+        n=n,
+        t=rng.randint(0, n - 1),
+        horizon=horizon,
+        crashes=crashes,
+        delays=delays,
+        losses=frozenset(losses),
+    )
+
+
+class TestLateIndexMatchesDenseOracle:
+    """The late-sender index, and everything that reads it, equals the
+    dense per-pair sweeps it replaced."""
+
+    @pytest.mark.parametrize(
+        "generator", _generators_for("att2"), ids=lambda g: g.__name__
+    )
+    def test_grid_families(self, generator):
+        for n in (4, 5, 7, 9):
+            for seed in range(10):
+                schedule = generator(n, (n - 1) // 2, seed)
+                _assert_matches_dense_oracle(
+                    schedule, f"{generator.__name__}(n={n}, seed={seed})"
+                )
+
+    def test_modelcheck_adversaries(self):
+        schedules = list(_schedules(3, 1, AdversaryBudget(1, 2, 2, 2), 24))
+        assert len(schedules) == 1732
+        for index, schedule in enumerate(schedules):
+            _assert_matches_dense_oracle(schedule, f"adversary {index}")
+
+    def test_directly_constructed_schedules(self):
+        covered = dict.fromkeys(
+            (
+                "pid out of range",
+                "keyed at or after crash round",
+                "loss and delay on one triple",
+                "delay target at or before sent round",
+                "crash past horizon",
+                "crasher in own same-round set",
+            ),
+            0,
+        )
+        for seed in range(3000):
+            schedule = _malformed_schedule(seed)
+            n, horizon = schedule.n, schedule.horizon
+            keys = (
+                set(schedule.crashes)
+                | {p for key in schedule.delays for p in key[:2]}
+                | {p for key in schedule.losses for p in key[:2]}
+            )
+            covered["pid out of range"] += any(
+                p not in range(n) for p in keys
+            )
+            covered["keyed at or after crash round"] += any(
+                s in schedule.crashes and k >= schedule.crashes[s].round
+                for s, _r, k in set(schedule.delays) | schedule.losses
+            )
+            covered["loss and delay on one triple"] += bool(
+                schedule.losses & set(schedule.delays)
+            )
+            covered["delay target at or before sent round"] += any(
+                until <= k for (_s, _r, k), until in schedule.delays.items()
+            )
+            covered["crash past horizon"] += any(
+                spec.round > horizon for spec in schedule.crashes.values()
+            )
+            covered["crasher in own same-round set"] += any(
+                pid in spec.delivered_same_round
+                for pid, spec in schedule.crashes.items()
+            )
+            _assert_matches_dense_oracle(schedule, f"malformed(seed={seed})")
+        assert all(count >= 10 for count in covered.values()), covered
 
 
 class TestRecordEquivalencePerAlgorithm:

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro import ATt2, Schedule
-from repro.errors import SimulationError
+from repro.engine.grids import (
+    DETERMINISTIC_KINDS,
+    SEEDED_KINDS,
+    build_schedule,
+    family,
+)
+from repro.errors import ScheduleError, SimulationError
 from repro.model.schedule import ScheduleBuilder
 from repro.sim.kernel import run_algorithm
 from repro.sim.random_schedules import random_es_schedule
@@ -53,6 +59,65 @@ class TestSerialization:
         assert data["crashes"] == []
         assert data["delays"] == []
         assert schedule_from_data(data) == schedule
+
+
+    @pytest.mark.parametrize("kind", SEEDED_KINDS + DETERMINISTIC_KINDS)
+    def test_every_grid_family_roundtrips(self, kind):
+        params = {
+            "killer": {"rounds_per_cycle": 2},
+            "async_prefix": {"k": 3, "crashes_after": 1},
+            "rotating": {"async_rounds": 3},
+        }.get(kind, {})
+        spec = family(kind, kind, **params)
+        for n, t in ((4, 1), (7, 3)):
+            for seed in range(4):
+                schedule = build_schedule(spec, n, t, seed)
+                assert roundtrip(schedule) == schedule
+
+
+class TestMalformedDataRejected:
+    """Schedule documents are outside input: each builder rule holds."""
+
+    @staticmethod
+    def _data(**changes):
+        data = schedule_to_data(Schedule.failure_free(3, 1, 5))
+        data.update(changes)
+        return data
+
+    def test_pid_out_of_range(self):
+        data = self._data(
+            crashes=[{"pid": 5, "round": 1, "delivered_to": [], "delayed": []}]
+        )
+        with pytest.raises(ScheduleError, match="out of range"):
+            schedule_from_data(data)
+
+    def test_delay_at_or_after_sender_crash_round(self):
+        data = self._data(
+            crashes=[{"pid": 0, "round": 2, "delivered_to": [], "delayed": []}],
+            delays=[[0, 1, 2, 4]],
+        )
+        with pytest.raises(ScheduleError, match="crashes in round 2"):
+            schedule_from_data(data)
+
+    def test_delivery_past_horizon(self):
+        data = self._data(delays=[[0, 1, 1, 6]])
+        with pytest.raises(ScheduleError, match="exceeds horizon"):
+            schedule_from_data(data)
+
+    def test_duplicate_delayed_receiver(self):
+        data = self._data(
+            crashes=[
+                {"pid": 0, "round": 1, "delivered_to": [],
+                 "delayed": [[1, 3], [1, 4]]}
+            ]
+        )
+        with pytest.raises(ScheduleError, match="duplicate receiver"):
+            schedule_from_data(data)
+
+    def test_message_both_delayed_and_lost(self):
+        data = self._data(delays=[[0, 1, 1, 3]], losses=[[0, 1, 1]])
+        with pytest.raises(ScheduleError, match="already delayed"):
+            schedule_from_data(data)
 
 
 class TestReplay:
